@@ -140,13 +140,21 @@ impl fmt::Display for Query {
 /// Renders one answer row against the query's variables:
 /// `X = 1, Y = alice`.
 pub fn render_row(query: &Query, row: &[Value]) -> String {
-    query
-        .vars()
-        .iter()
-        .zip(row)
-        .map(|(v, val)| format!("{} = {val}", v.as_str()))
-        .collect::<Vec<_>>()
-        .join(", ")
+    let mut out = String::new();
+    write_row(&mut out, query, row);
+    out
+}
+
+/// Appends [`render_row`]'s text to `out` — the allocation-free form for
+/// callers rendering many rows into one buffer.
+pub fn write_row(out: &mut String, query: &Query, row: &[Value]) {
+    use fmt::Write;
+    for (i, (v, val)) in query.vars().iter().zip(row).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "{} = {val}", v.as_str()).expect("writing to a String cannot fail");
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //!   moment they are read (no engine access at all);
 //! * **submits and flushes** enqueue into the service and park their
 //!   completion handles on the completion thread, which delivers each ack
-//!   (with its commit version) as the worker decides it.
+//!   (with its commit version) as the worker decides it;
+//! * the **writer** owns the outbound socket and is the coalescing point
+//!   (below).
 //!
 //! Ordering: **untagged** requests keep the classic strict
 //! request-response order — their responses are threaded through the
@@ -32,6 +34,28 @@
 //! answer may overtake the ack of an earlier in-flight submit, which is
 //! the whole point — readers are not serialized behind writers even on
 //! one connection.
+//!
+//! ## The wire contract
+//!
+//! * **`TCP_NODELAY` on both ends** — every accepted socket and every
+//!   [`Client`]. No byte ever waits for the peer's (delayed, 40 ms) ACK.
+//! * **A response is written whole.** Each response — all its rows and its
+//!   terminator, tag applied, newlines included — is rendered into one
+//!   buffer and crosses the writer channel as one message, so the lines of
+//!   two responses never interleave, tagged or not, and a response costs
+//!   one copy. [`Client::send_raw`] likewise sends a request line and its
+//!   `\n` in one `write`.
+//! * **Bursts coalesce.** On each wake-up the writer appends everything
+//!   already queued (until the channel is empty or the burst reaches
+//!   ≈ 64 KiB) to one reusable buffer and issues a single `write` — the 64
+//!   acks of a group commit, or a run of pipelined query answers, leave as
+//!   one segment train. Channel FIFO order is kept, so the ordering rules
+//!   above are unchanged. `strata_net_responses_total`,
+//!   `strata_net_writes_total` and `strata_net_bytes_written_total` (the
+//!   `metrics` verb) show the ratio.
+//! * **`ok bye` is the last thing a connection does with its database.**
+//!   The binding is released before the goodbye is queued, so a client
+//!   that has read it can `db drop` that database from another connection.
 //!
 //! [`Client`] is the matching blocking client: one request line out, read
 //! lines until the `ok`/`err` terminator. Connect/read timeouts
@@ -46,18 +70,19 @@
 //! jitter. The server's dedup window makes the retry safe: an update
 //! acked by a lost response is *replayed*, never applied twice.
 
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use strata_core::{MaintenanceError, Update};
-use strata_datalog::query::render_row;
+use strata_datalog::query::write_row;
 use strata_datalog::RelSource;
 
 use crate::protocol::{self, Request};
@@ -234,28 +259,50 @@ enum Job {
     FlushDb { tag: Option<String>, db: Arc<ShardedDb> },
     /// An already-rendered response (untagged query/stats/parse errors):
     /// emitted here to stay behind earlier untagged acks.
-    Lines(Vec<String>),
+    Ready(Response),
     /// Emit the goodbye line and stop.
-    Quit(String),
+    Quit(Response),
+}
+
+/// One whole rendered response — every line of it, tag applied, each
+/// `\n`-terminated — as it crosses the writer channel. Because a response
+/// is one message, the lines of two responses never interleave.
+type Response = String;
+
+/// A one-line response.
+fn reply(tag: Option<&str>, payload: impl fmt::Display) -> Response {
+    let mut out = String::new();
+    protocol::write_line(&mut out, tag, payload);
+    out
 }
 
 /// Renders a submit/flush decision, tag applied.
-fn render_ack(tag: Option<&str>, outcome: &Outcome, flush: bool) -> String {
-    let line = match (flush, outcome) {
-        (true, Outcome::Accepted { version, .. }) => format!("ok flushed version={version}"),
-        _ => protocol::render_outcome(outcome),
-    };
-    protocol::render_tagged(tag, &line)
+fn render_ack(tag: Option<&str>, outcome: &Outcome, flush: bool) -> Response {
+    match (flush, outcome) {
+        (true, Outcome::Accepted { version, .. }) => flushed(tag, *version),
+        _ => {
+            let mut out = String::new();
+            protocol::write_tag(&mut out, tag);
+            protocol::write_outcome(&mut out, outcome);
+            out.push('\n');
+            out
+        }
+    }
+}
+
+/// The `flush` ack.
+fn flushed(tag: Option<&str>, version: u64) -> Response {
+    reply(tag, format_args!("ok flushed version={version}"))
 }
 
 /// The `query @<version>` timeout line.
-fn version_unpublished(tag: Option<&str>, version: u64, published: u64) -> Vec<String> {
-    vec![protocol::render_tagged(
+fn version_unpublished(tag: Option<&str>, version: u64, published: u64) -> Response {
+    reply(
         tag,
-        &format!(
+        format_args!(
             "err version {version} not published within the read wait (published: {published})"
         ),
-    )]
+    )
 }
 
 /// Renders a query's full response (rows + terminator) against any fact
@@ -264,18 +311,37 @@ fn render_query<S: RelSource + ?Sized>(
     src: &S,
     tag: Option<&str>,
     query: &strata_datalog::Query,
-) -> Vec<String> {
+) -> Response {
     if query.is_boolean() {
-        vec![protocol::render_tagged(tag, &format!("ok {}", query.holds(src)))]
-    } else {
-        let rows = query.eval(src);
-        let mut out = Vec::with_capacity(rows.len() + 1);
-        for row in &rows {
-            out.push(protocol::render_tagged(tag, &format!("row {}", render_row(query, row))));
-        }
-        out.push(protocol::render_tagged(tag, &format!("ok {}", rows.len())));
-        out
+        return reply(tag, format_args!("ok {}", query.holds(src)));
     }
+    let rows = query.eval(src);
+    // The shortest row line is `row X = 1\n`; most are not much longer.
+    let mut out = String::with_capacity(rows.len() * 16);
+    for row in &rows {
+        protocol::write_tag(&mut out, tag);
+        out.push_str("row ");
+        write_row(&mut out, query, row);
+        out.push('\n');
+    }
+    protocol::write_line(&mut out, tag, format_args!("ok {}", rows.len()));
+    out
+}
+
+/// Renders a multi-line listing response (`metrics`, `trace`, `db list`):
+/// one line per item, then the `ok <count>` terminator.
+fn render_listing<T: fmt::Display>(
+    tag: Option<&str>,
+    items: impl IntoIterator<Item = T>,
+) -> Response {
+    let mut out = String::new();
+    let mut count = 0usize;
+    for item in items {
+        protocol::write_line(&mut out, tag, item);
+        count += 1;
+    }
+    protocol::write_line(&mut out, tag, format_args!("ok {count}"));
+    out
 }
 
 /// What this connection's requests currently run against: the single
@@ -325,12 +391,12 @@ impl Bound {
         }
     }
 
-    fn query_lines(
+    fn query_response(
         &self,
         tag: Option<&str>,
         query: &strata_datalog::Query,
         at: Option<u64>,
-    ) -> Vec<String> {
+    ) -> Response {
         match self {
             Bound::Single(service) => {
                 let snap = match at {
@@ -360,13 +426,77 @@ impl Bound {
 const NO_CLUSTER: &str =
     "err this is a single-database server: `use` and `db` need a cluster front-end";
 
+/// The writer stops adding queued responses to a burst once it holds
+/// this many bytes, so one `write` stays a bounded segment train and the
+/// first response of a long backlog is not held back by the whole backlog.
+const COALESCE_BYTES: usize = 64 * 1024;
+
+/// The writer's counters, bumped once per `write` (never per line).
+struct NetObs {
+    responses: Arc<strata_obs::Counter>,
+    writes: Arc<strata_obs::Counter>,
+    bytes: Arc<strata_obs::Counter>,
+}
+
+impl NetObs {
+    fn register(registry: &strata_obs::Registry) -> NetObs {
+        NetObs {
+            responses: registry.counter("strata_net_responses_total"),
+            writes: registry.counter("strata_net_writes_total"),
+            bytes: registry.counter("strata_net_bytes_written_total"),
+        }
+    }
+
+    fn global() -> &'static NetObs {
+        static OBS: OnceLock<NetObs> = OnceLock::new();
+        OBS.get_or_init(|| NetObs::register(strata_obs::global()))
+    }
+}
+
+/// The writer of the three-thread pipeline: the single owner of the
+/// outbound stream. On each wake-up it takes every response already
+/// queued (until the channel is empty or the burst reaches
+/// [`COALESCE_BYTES`]) and issues **one** `write_all` — the 64 acks of a
+/// group commit, or a burst of pipelined answers, leave in one syscall.
+/// Returns when every sender is gone or a write fails.
+fn write_loop(mut stream: impl Write, responses: &mpsc::Receiver<Response>, obs: &NetObs) {
+    let mut burst = String::new();
+    while let Ok(first) = responses.recv() {
+        let mut count = 1;
+        burst.clear();
+        // A huge response must not pin its size for the connection's
+        // lifetime.
+        burst.shrink_to(2 * COALESCE_BYTES);
+        while first.len().max(burst.len()) < COALESCE_BYTES {
+            let Ok(next) = responses.try_recv() else { break };
+            if count == 1 {
+                burst.push_str(&first);
+            }
+            burst.push_str(&next);
+            count += 1;
+        }
+        // A lone response is written as rendered, without the copy.
+        let bytes = if count == 1 { first.as_bytes() } else { burst.as_bytes() };
+        if stream.write_all(bytes).is_err() {
+            return;
+        }
+        obs.responses.add(count);
+        obs.writes.inc();
+        obs.bytes.add(bytes.len() as u64);
+    }
+}
+
 /// One connection's request loop — the reader of the three-thread pipeline
-/// described in the module docs. Returns on `quit`, EOF, or any I/O error.
+/// described in the module docs. Returns on `quit`, EOF, or any I/O error,
+/// after the completion and writer threads have drained and exited.
 fn serve_connection(
     stream: TcpStream,
     backend: Backend,
     shutdown_requests: &ShutdownFlag,
 ) -> io::Result<()> {
+    // A response is one `write` of whole lines; without NODELAY a second
+    // small write would wait out the peer's delayed ACK (40 ms).
+    stream.set_nodelay(true)?;
     let cluster = match &backend {
         Backend::Single(_) => None,
         Backend::Cluster(c) => Some(Arc::clone(c)),
@@ -378,25 +508,12 @@ fn serve_connection(
         }
     };
     let mut reader = BufReader::new(stream.try_clone()?);
-    let (write_tx, write_rx) = mpsc::channel::<Vec<String>>();
+    let (write_tx, write_rx) = mpsc::channel::<Response>();
     let (job_tx, job_rx) = mpsc::channel::<Job>();
 
-    // Writer: the single owner of the outbound stream.
-    let writer_thread = {
-        let mut writer = stream;
-        std::thread::Builder::new().name("strata-conn-write".into()).spawn(move || {
-            while let Ok(lines) = write_rx.recv() {
-                for line in &lines {
-                    if writeln!(writer, "{line}").is_err() {
-                        return;
-                    }
-                }
-                if writer.flush().is_err() {
-                    return;
-                }
-            }
-        })?
-    };
+    let writer_thread = std::thread::Builder::new()
+        .name("strata-conn-write".into())
+        .spawn(move || write_loop(stream, &write_rx, NetObs::global()))?;
 
     // Completion: drains jobs in request order, parking on handles.
     let completion_thread = {
@@ -404,21 +521,14 @@ fn serve_connection(
         std::thread::Builder::new().name("strata-conn-ack".into()).spawn(move || {
             while let Ok(job) = job_rx.recv() {
                 let done = matches!(job, Job::Quit(_));
-                let lines = match job {
+                let response = match job {
                     Job::Wait { tag, handle, flush } => {
-                        vec![render_ack(tag.as_deref(), &handle.wait(), flush)]
+                        render_ack(tag.as_deref(), &handle.wait(), flush)
                     }
-                    Job::FlushDb { tag, db } => {
-                        let version = db.flush();
-                        vec![protocol::render_tagged(
-                            tag.as_deref(),
-                            &format!("ok flushed version={version}"),
-                        )]
-                    }
-                    Job::Lines(lines) => lines,
-                    Job::Quit(line) => vec![line],
+                    Job::FlushDb { tag, db } => flushed(tag.as_deref(), db.flush()),
+                    Job::Ready(response) | Job::Quit(response) => response,
                 };
-                if write_tx.send(lines).is_err() || done {
+                if write_tx.send(response).is_err() || done {
                     return;
                 }
             }
@@ -430,76 +540,73 @@ fn serve_connection(
     // idempotency window keyed on it.
     let mut client_id: Option<String> = None;
     let mut line = String::new();
-    loop {
+    let read_result = loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break; // EOF: client hung up
+        match reader.read_line(&mut line) {
+            Ok(0) => break Ok(()), // EOF: client hung up
+            Ok(_) => {}
+            Err(e) => break Err(e),
         }
         if line.trim().is_empty() {
             continue;
         }
         let (tag, rest) = protocol::split_tag(line.trim());
-        let tag = tag.map(str::to_string);
         // Tagged responses may overtake pending acks (direct to writer);
         // untagged ones queue behind them to keep the classic ordering.
-        let respond = |lines: Vec<String>| -> Result<(), ()> {
+        let respond = |response: Response| -> Result<(), ()> {
             if tag.is_some() {
-                write_tx.send(lines).map_err(|_| ())
+                write_tx.send(response).map_err(|_| ())
             } else {
-                job_tx.send(Job::Lines(lines)).map_err(|_| ())
+                job_tx.send(Job::Ready(response)).map_err(|_| ())
             }
         };
+        let wait = |handle: AnyHandle| -> Result<(), ()> {
+            job_tx
+                .send(Job::Wait { tag: tag.map(str::to_string), handle, flush: false })
+                .map_err(|_| ())
+        };
         let sent = match protocol::parse_request(rest) {
-            Err(e) => respond(vec![protocol::render_tagged(tag.as_deref(), &format!("err {e}"))]),
+            Err(e) => respond(reply(tag, format_args!("err {e}"))),
             Ok(Request::Quit) => {
-                let bye = protocol::render_tagged(tag.as_deref(), "ok bye");
-                let _ = job_tx.send(Job::Quit(bye));
-                break;
+                // Release the binding before the goodbye: a client that has
+                // read `ok bye` may count on this connection holding nothing
+                // (`db drop` from another connection, the owner's
+                // `Arc::try_unwrap`).
+                drop(bound);
+                drop(cluster);
+                let _ = job_tx.send(Job::Quit(reply(tag, "ok bye")));
+                break Ok(());
             }
             Ok(Request::Submit { update, seq }) => {
                 // Blocks only on queue backpressure; the ack is delivered
                 // by the completion thread once the group commits.
                 match (seq, client_id.as_deref()) {
-                    (None, _) => {
-                        let handle = bound.submit(update);
-                        job_tx
-                            .send(Job::Wait { tag: tag.clone(), handle, flush: false })
-                            .map_err(|_| ())
-                    }
-                    (Some(seq), Some(client)) => {
-                        let handle = bound.submit_dedup(client, seq, update);
-                        job_tx
-                            .send(Job::Wait { tag: tag.clone(), handle, flush: false })
-                            .map_err(|_| ())
-                    }
-                    (Some(_), None) => respond(vec![protocol::render_tagged(
-                        tag.as_deref(),
+                    (None, _) => wait(bound.submit(update)),
+                    (Some(seq), Some(client)) => wait(bound.submit_dedup(client, seq, update)),
+                    (Some(_), None) => respond(reply(
+                        tag,
                         "err seq= requires a client id: send `client <id>` first",
-                    )]),
+                    )),
                 }
             }
             Ok(Request::Hello { client }) => {
-                let line = format!("ok client={client}");
+                let response = reply(tag, format_args!("ok client={client}"));
                 client_id = Some(client);
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
+                respond(response)
             }
             Ok(Request::Shutdown) => {
                 shutdown_requests.request();
-                respond(vec![protocol::render_tagged(tag.as_deref(), "ok shutting down")])
+                respond(reply(tag, "ok shutting down"))
             }
-            Ok(Request::Flush) => job_tx.send(bound.flush_job(tag.clone())).map_err(|_| ()),
-            Ok(Request::Compact) => {
-                let line = match bound.compact() {
-                    Ok(Some(seq)) => format!("ok compacted seq={seq}"),
-                    Ok(None) => "err nothing to compact: engine is in-memory".to_string(),
-                    Err(e) => format!("err code={} {e}", e.code()),
-                };
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
+            Ok(Request::Flush) => {
+                job_tx.send(bound.flush_job(tag.map(str::to_string))).map_err(|_| ())
             }
-            Ok(Request::Stats) => {
-                let line = bound.stats_line();
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
-            }
+            Ok(Request::Compact) => respond(match bound.compact() {
+                Ok(Some(seq)) => reply(tag, format_args!("ok compacted seq={seq}")),
+                Ok(None) => reply(tag, "err nothing to compact: engine is in-memory"),
+                Err(e) => reply(tag, format_args!("err code={} {e}", e.code())),
+            }),
+            Ok(Request::Stats) => respond(reply(tag, bound.stats_line())),
             Ok(Request::Metrics) => {
                 // Sync the service-level gauges into the registry first so
                 // the exposition always agrees with the `stats` line. A
@@ -509,95 +616,65 @@ fn serve_connection(
                     (None, Bound::Single(s)) => s.fill_registry(),
                     (None, Bound::Db { .. }) => unreachable!("cluster bindings imply a cluster"),
                 }
-                let text = strata_obs::render();
-                let mut lines: Vec<String> =
-                    text.lines().map(|l| protocol::render_tagged(tag.as_deref(), l)).collect();
-                let count = lines.len();
-                lines.push(protocol::render_tagged(tag.as_deref(), &format!("ok {count}")));
-                respond(lines)
+                respond(render_listing(tag, strata_obs::render().lines()))
             }
             Ok(Request::Trace { n }) => {
                 let spans = strata_obs::trace::recent_spans(n);
-                let mut lines: Vec<String> = spans
-                    .iter()
-                    .map(|s| {
-                        protocol::render_tagged(tag.as_deref(), &format!("span {}", s.render()))
-                    })
-                    .collect();
-                lines.push(protocol::render_tagged(tag.as_deref(), &format!("ok {}", spans.len())));
-                respond(lines)
+                respond(render_listing(tag, spans.iter().map(|s| format!("span {}", s.render()))))
             }
-            Ok(Request::Query { query, at }) => {
-                respond(bound.query_lines(tag.as_deref(), &query, at))
-            }
-            Ok(Request::Use { db }) => {
-                let line = match &cluster {
-                    None => NO_CLUSTER.to_string(),
-                    Some(c) => match c.get(&db) {
-                        Some(handle) => {
-                            bound = Bound::Db { name: db.clone(), db: handle };
-                            format!("ok db={db}")
-                        }
-                        None => {
-                            format!("err no database named {db} (create it with `db create {db}`)")
-                        }
-                    },
-                };
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
-            }
-            Ok(Request::DbCreate { db }) => {
-                let line = match &cluster {
-                    None => NO_CLUSTER.to_string(),
-                    Some(c) => match c.create(&db) {
-                        Ok(_) => format!("ok created db={db}"),
-                        Err(e) => format!("err {e}"),
-                    },
-                };
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
-            }
-            Ok(Request::DbDrop { db }) => {
-                let line = match &cluster {
-                    None => NO_CLUSTER.to_string(),
-                    Some(c) => match c.drop_db(&db) {
-                        Ok(()) => format!("ok dropped db={db}"),
-                        Err(e) => format!("err {e}"),
-                    },
-                };
-                respond(vec![protocol::render_tagged(tag.as_deref(), &line)])
-            }
-            Ok(Request::DbList) => match &cluster {
-                None => respond(vec![protocol::render_tagged(tag.as_deref(), NO_CLUSTER)]),
-                Some(c) => {
-                    let infos = c.list();
-                    let mut lines: Vec<String> = infos
-                        .iter()
-                        .map(|i| {
-                            protocol::render_tagged(
-                                tag.as_deref(),
-                                &format!(
-                                    "db {} shards={} facts={}",
-                                    i.name, i.shards, i.model_facts
-                                ),
-                            )
-                        })
-                        .collect();
-                    lines.push(protocol::render_tagged(
-                        tag.as_deref(),
-                        &format!("ok {}", infos.len()),
-                    ));
-                    respond(lines)
-                }
-            },
+            Ok(Request::Query { query, at }) => respond(bound.query_response(tag, &query, at)),
+            Ok(Request::Use { db }) => respond(match &cluster {
+                None => reply(tag, NO_CLUSTER),
+                Some(c) => match c.get(&db) {
+                    Some(handle) => {
+                        let response = reply(tag, format_args!("ok db={db}"));
+                        bound = Bound::Db { name: db, db: handle };
+                        response
+                    }
+                    None => reply(
+                        tag,
+                        format_args!(
+                            "err no database named {db} (create it with `db create {db}`)"
+                        ),
+                    ),
+                },
+            }),
+            Ok(Request::DbCreate { db }) => respond(match &cluster {
+                None => reply(tag, NO_CLUSTER),
+                Some(c) => match c.create(&db) {
+                    Ok(_) => reply(tag, format_args!("ok created db={db}")),
+                    Err(e) => reply(tag, format_args!("err {e}")),
+                },
+            }),
+            Ok(Request::DbDrop { db }) => respond(match &cluster {
+                None => reply(tag, NO_CLUSTER),
+                Some(c) => match c.drop_db(&db) {
+                    Ok(()) => reply(tag, format_args!("ok dropped db={db}")),
+                    Err(e) => reply(tag, format_args!("err {e}")),
+                },
+            }),
+            Ok(Request::DbList) => respond(match &cluster {
+                None => reply(tag, NO_CLUSTER),
+                Some(c) => render_listing(
+                    tag,
+                    c.list().iter().map(|i| {
+                        format!("db {} shards={} facts={}", i.name, i.shards, i.model_facts)
+                    }),
+                ),
+            }),
         };
         if sent.is_err() {
-            break; // a downstream thread died (broken pipe): stop reading
+            break Ok(()); // a downstream thread died (broken pipe): stop reading
         }
-    }
+    };
     drop(job_tx);
-    let _ = completion_thread.join();
+    let completed = completion_thread.join();
     drop(write_tx);
-    let _ = writer_thread.join();
-    Ok(())
+    let written = writer_thread.join();
+    if completed.is_err() || written.is_err() {
+        return Err(io::Error::other("a connection thread panicked"));
+    }
+    read_result
 }
 
 /// What a query returned.
@@ -637,6 +714,8 @@ fn parse_ack(tail: &str) -> Ack {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing request line, reused across sends.
+    out: String,
 }
 
 impl Client {
@@ -662,7 +741,11 @@ impl Client {
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
-        Ok(Client { reader: BufReader::new(stream.try_clone()?), writer: stream })
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+            out: String::new(),
+        })
     }
 
     /// Bounds every subsequent read; `None` restores blocking reads. A
@@ -674,9 +757,14 @@ impl Client {
 
     /// Sends one raw request line (the pipelined path: prefix a `#tag`
     /// yourself and pair responses by tag via [`Client::recv_raw`]).
+    ///
+    /// The line and its `\n` leave in one `write` — on a `TCP_NODELAY`
+    /// socket two writes would be two packets.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
+        self.out.clear();
+        self.out.push_str(line);
+        self.out.push('\n');
+        self.writer.write_all(self.out.as_bytes())
     }
 
     /// Receives one response line, split into `(tag, payload)`.
@@ -1041,7 +1129,7 @@ mod tests {
     use super::*;
     use crate::IngestConfig;
     use strata_core::registry::EngineRegistry;
-    use strata_datalog::{Fact, Program};
+    use strata_datalog::{Fact, Program, Query};
 
     fn pods_server() -> (Arc<Service>, ServerHandle) {
         let program = Program::parse(
@@ -1057,7 +1145,7 @@ mod tests {
 
     #[test]
     fn submit_query_flush_stats_roundtrip() {
-        let (_service, handle) = pods_server();
+        let (service, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         assert_eq!(client.query("rejected(1)").unwrap().unwrap(), QueryReply::Boolean(true));
         let ack = client
@@ -1075,6 +1163,7 @@ mod tests {
         assert_eq!(client.stats_field("snapshot_version").unwrap(), Some(flushed_at));
         client.quit().unwrap();
         handle.stop();
+        assert_eq!(Arc::strong_count(&service), 1, "`ok bye` means the binding is released");
     }
 
     #[test]
@@ -1275,6 +1364,11 @@ mod tests {
         assert!(b.db_drop("tenant1").unwrap().is_err(), "still bound by a");
         a.use_db("default").unwrap().unwrap();
         b.db_drop("tenant1").unwrap().unwrap();
+        // ... or says goodbye: `ok bye` comes after the binding's release.
+        a.db_create("tenant2").unwrap().unwrap();
+        a.use_db("tenant2").unwrap().unwrap();
+        a.quit().unwrap();
+        b.db_drop("tenant2").unwrap().unwrap();
         assert!(b.db_drop("default").unwrap().is_err(), "default is permanent");
         handle.stop();
     }
@@ -1323,6 +1417,295 @@ mod tests {
         assert!(client.db_list().unwrap().is_err());
         client.quit().unwrap();
         handle.stop();
+    }
+
+    /// The parent's line-by-line rendering, kept verbatim as the golden
+    /// reference: `format!` per tag, `format!` + `join` per row, `\n` after
+    /// every line (what `writeln!` put on the wire).
+    fn reference_tagged(tag: Option<&str>, line: &str) -> String {
+        match tag {
+            Some(t) => format!("#{t} {line}\n"),
+            None => format!("{line}\n"),
+        }
+    }
+
+    fn reference_row(query: &Query, row: &[strata_datalog::Value]) -> String {
+        query
+            .vars()
+            .iter()
+            .zip(row)
+            .map(|(v, val)| format!("{} = {val}", v.as_str()))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
+    #[test]
+    fn rendered_responses_are_byte_identical_to_the_line_composition() {
+        use strata_datalog::query::render_row;
+        use strata_datalog::{Database, Value};
+        // 5 000 rows render to > COALESCE_BYTES; hostile symbols ride along.
+        let facts = (0..5_000).map(|i| {
+            Fact::new("wide", vec![Value::int(i), Value::sym(&format!("name {i}\n\"q\""))])
+        });
+        let db = Database::from_facts(facts.chain([Fact::parse("flag").unwrap()]));
+        let queries = ["wide(X, Y)", "wide(7, Y)", "wide(X, Y), !wide(Y, X)", "wide(-1, Y)"];
+        for tag in [None, Some("t-1"), Some("#")] {
+            for body in queries {
+                let query = Query::parse(body).unwrap();
+                let rows = query.eval(&db);
+                let mut want = String::new();
+                for row in &rows {
+                    let line = format!("row {}", reference_row(&query, row));
+                    want.push_str(&reference_tagged(tag, &line));
+                    // The public string forms are the same bytes.
+                    assert_eq!(render_row(&query, row), reference_row(&query, row));
+                    assert_eq!(
+                        protocol::render_tagged(tag, &line) + "\n",
+                        reference_tagged(tag, &line)
+                    );
+                }
+                want.push_str(&reference_tagged(tag, &format!("ok {}", rows.len())));
+                assert_eq!(render_query(&db, tag, &query), want, "{tag:?} {body}");
+            }
+            for (body, holds) in [("flag", true), ("wide(1, 2)", false)] {
+                let query = Query::parse(body).unwrap();
+                assert_eq!(
+                    render_query(&db, tag, &query),
+                    reference_tagged(tag, &format!("ok {holds}"))
+                );
+            }
+            let accepted = Outcome::Accepted { group: 7, version: 3 };
+            let rejected =
+                Outcome::Rejected(MaintenanceError::NotAsserted(Fact::parse("p(1)").unwrap()));
+            assert_eq!(
+                render_ack(tag, &accepted, false),
+                reference_tagged(tag, "ok group=7 version=3")
+            );
+            assert_eq!(
+                render_ack(tag, &accepted, true),
+                reference_tagged(tag, "ok flushed version=3")
+            );
+            for flush in [false, true] {
+                assert_eq!(
+                    render_ack(tag, &rejected, flush),
+                    reference_tagged(
+                        tag,
+                        "err code=not-asserted cannot delete `p(1)`: not an asserted fact"
+                    )
+                );
+            }
+        }
+        let big = render_query(&db, None, &Query::parse("wide(X, Y)").unwrap());
+        assert!(big.len() > COALESCE_BYTES, "the 5 000-row case must exceed the coalescing cap");
+    }
+
+    /// A `Write` sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: u64,
+    }
+
+    impl Write for &mut CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_coalesces_a_queued_burst_into_one_write_per_wakeup() {
+        // Everything is queued before the writer runs, so the interleaving
+        // is forced: 256 small acks are one burst, then a response past the
+        // cap closes its own burst, then a lone response is written as is.
+        let registry = strata_obs::Registry::new();
+        let obs = NetObs::register(&registry);
+        let (tx, rx) = mpsc::channel::<Response>();
+        let mut want = String::new();
+        for i in 0..256 {
+            let ack = reply(Some(&i.to_string()), format_args!("ok group=1 version={i}"));
+            want.push_str(&ack);
+            tx.send(ack).unwrap();
+        }
+        let big = "row X = 1\n".repeat(COALESCE_BYTES / 10 + 1);
+        let tail = reply(None, "ok bye");
+        for response in [&big, &tail] {
+            want.push_str(response);
+            tx.send(response.clone()).unwrap();
+        }
+        drop(tx);
+        let mut sink = CountingSink::default();
+        write_loop(&mut sink, &rx, &obs);
+        assert_eq!(String::from_utf8(sink.bytes).unwrap(), want, "FIFO, nothing lost or split");
+        assert_eq!(registry.value("strata_net_responses_total"), Some(258));
+        assert_eq!(registry.value("strata_net_bytes_written_total"), Some(want.len() as u64));
+        // 256 acks + the big response (which trips the cap) in one write,
+        // the goodbye in a second.
+        assert_eq!(registry.value("strata_net_writes_total"), Some(2));
+        assert_eq!(sink.writes, 2, "one `write` per burst");
+    }
+
+    fn net_counter(client: &mut Client, name: &str) -> u64 {
+        client.metrics_value(name).unwrap().unwrap_or_else(|| panic!("{name} not exposed"))
+    }
+
+    #[test]
+    fn pipelined_burst_keeps_responses_whole_and_untagged_requests_ordered() {
+        const SUBMITS: usize = 256;
+        const SCAN_EVERY: usize = 8;
+        let (_service, handle) = pods_server();
+        let addr = handle.addr().to_string();
+        let mut probe = Client::connect(&addr).unwrap();
+        let before = ["responses", "writes", "bytes_written"]
+            .map(|n| net_counter(&mut probe, &format!("strata_net_{n}_total")));
+
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut terminators: std::collections::HashMap<String, usize> = Default::default();
+        let mut bytes_read = 0usize;
+        let scans = SUBMITS / SCAN_EVERY;
+        std::thread::scope(|s| {
+            // Send from a second thread: the burst must not depend on the
+            // socket buffers holding all of it.
+            s.spawn(|| {
+                let mut out = &stream;
+                for i in 0..SUBMITS {
+                    let mut burst = format!("#w{i} submit + submitted({})\n", 100 + i);
+                    if i % SCAN_EVERY == 0 {
+                        burst.push_str(&format!("#r{i} query submitted(X)\n"));
+                    }
+                    out.write_all(burst.as_bytes()).unwrap();
+                }
+            });
+            // The scan whose rows are streaming: nothing else may appear
+            // until its terminator.
+            let mut open_scan: Option<String> = None;
+            let mut line = String::new();
+            while terminators.len() < SUBMITS + scans {
+                line.clear();
+                bytes_read += reader.read_line(&mut line).unwrap();
+                let (tag, rest) = protocol::split_tag(line.trim_end());
+                let tag = tag.expect("every response line is tagged").to_string();
+                if let Some(scan) = &open_scan {
+                    assert_eq!(&tag, scan, "a foreign line split scan {scan}'s response");
+                }
+                if rest.starts_with("row ") {
+                    assert!(tag.starts_with('r'), "{line}");
+                    open_scan = Some(tag);
+                } else {
+                    assert!(rest.starts_with("ok "), "{line}");
+                    open_scan = None;
+                    *terminators.entry(tag).or_default() += 1;
+                }
+            }
+        });
+        assert!(terminators.values().all(|&n| n == 1), "one terminator per tag");
+
+        // Untagged requests after the burst: responses in request order.
+        let mut out = &stream;
+        out.write_all(b"submit + submitted(9000)\nquery submitted(9000)\nstats\nflush\nquit\n")
+            .unwrap();
+        let mut replies = Vec::new();
+        for _ in 0..5 {
+            let mut line = String::new();
+            bytes_read += reader.read_line(&mut line).unwrap();
+            replies.push(line);
+        }
+        assert!(replies[0].starts_with("ok group="), "{replies:?}");
+        // Answered from the snapshot at read time, so either truth value —
+        // but in its request's slot, behind the submit's ack.
+        assert!(matches!(replies[1].as_str(), "ok true\n" | "ok false\n"), "{replies:?}");
+        assert!(replies[2].starts_with("ok submitted="), "{replies:?}");
+        assert!(replies[3].starts_with("ok flushed version="), "{replies:?}");
+        assert_eq!(replies[4], "ok bye\n");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "the server closes after quit");
+
+        // The counters are process-wide (other tests' connections bump them
+        // too), so compare deltas by inequality; the exact accounting is
+        // `writer_coalesces_a_queued_burst_into_one_write_per_wakeup`.
+        let after = ["responses", "writes", "bytes_written"]
+            .map(|n| net_counter(&mut probe, &format!("strata_net_{n}_total")));
+        assert!(after[0] - before[0] >= (SUBMITS + scans + 5) as u64);
+        assert!(after[2] - before[2] >= bytes_read as u64);
+        assert!(after[1] <= after[0], "a write carries at least one response");
+        handle.stop();
+    }
+
+    #[test]
+    fn one_outstanding_round_trips_never_wait_out_a_delayed_ack() {
+        // The delayed-ACK stall this guards against is >= 40 ms per round
+        // trip; 5 ms leaves an 8x margin over it for host jitter.
+        const ROUNDS: usize = 50;
+        let program = Program::parse("p(1).").unwrap();
+        let engine = EngineRegistry::standard().build("cascade", program).unwrap();
+        let cfg = IngestConfig { max_delay: Duration::ZERO, ..IngestConfig::default() };
+        let service = Arc::new(Service::start(engine, cfg));
+        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        let mut median = |what: &str, f: &mut dyn FnMut(&mut Client, usize)| {
+            let mut took: Vec<Duration> = (0..ROUNDS)
+                .map(|i| {
+                    let t0 = std::time::Instant::now();
+                    f(&mut client, i);
+                    t0.elapsed()
+                })
+                .collect();
+            took.sort();
+            let median = took[ROUNDS / 2];
+            assert!(median < Duration::from_millis(5), "{what}: median round trip {median:?}");
+        };
+        median("stats", &mut |c, _| {
+            c.stats().unwrap().unwrap();
+        });
+        median("query", &mut |c, _| {
+            assert_eq!(c.query("p(1)").unwrap().unwrap(), QueryReply::Boolean(true));
+        });
+        median("submit", &mut |c, i| {
+            c.submit_text(&format!("+ p({})", i + 2)).unwrap().unwrap();
+        });
+        handle.stop();
+    }
+
+    #[test]
+    fn half_close_mid_burst_drains_and_ends_all_three_threads() {
+        let (service, _handle) = pods_server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // `serve_connection` joins its completion and writer threads before
+        // returning, and reports a panic in either as an error.
+        let (done_tx, done_rx) = mpsc::channel();
+        let conn = std::thread::spawn(move || {
+            let flag = ShutdownFlag::default();
+            let _ = done_tx.send(serve_connection(accepted, Backend::Single(service), &flag));
+        });
+        let mut burst = String::new();
+        for i in 0..256 {
+            burst.push_str(&format!("#w{i} submit + submitted({})\n", 500 + i));
+            burst.push_str(&format!("#r{i} query submitted(X)\n"));
+        }
+        (&client).write_all(burst.as_bytes()).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        // Everything already sent is still answered, then the server closes.
+        let mut terminators = 0;
+        for line in BufReader::new(&client).lines() {
+            let line = line.unwrap();
+            let (_, rest) = protocol::split_tag(&line);
+            terminators += usize::from(rest.starts_with("ok "));
+        }
+        assert_eq!(terminators, 512, "every request sent before the half-close is answered");
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the connection's threads must all exit after EOF");
+        result.expect("no connection thread panicked");
+        conn.join().unwrap();
     }
 
     #[test]

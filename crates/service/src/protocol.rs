@@ -30,8 +30,9 @@
 //! `err`; a `query` may stream `row <bindings>` lines before it. When the
 //! request carried a tag, **every** line of its response is prefixed with
 //! the same `#tag ` — and responses to differently-tagged requests may
-//! interleave in any order (pipelining). Untagged requests are answered in
-//! order, untagged.
+//! come back in any order (pipelining). A response is written whole, so
+//! the *lines* of two responses never interleave. Untagged requests are
+//! answered in order, untagged.
 //!
 //! ```text
 //! submit → "ok group=<n> version=<v>"  accepted (durable once delivered;
@@ -97,6 +98,8 @@
 //! (bounded by [`crate::IngestConfig::read_wait`]) until the published
 //! snapshot reaches `version`; pinning the version from one's own `submit`
 //! ack is read-your-writes on any connection.
+
+use std::fmt::{self, Write};
 
 use strata_core::Update;
 use strata_datalog::{Fact, Query, Rule};
@@ -185,10 +188,28 @@ pub fn split_tag(line: &str) -> (Option<&str>, &str) {
 /// Prefixes `line` with `#tag ` when a tag is present (the response-side
 /// inverse of [`split_tag`]).
 pub fn render_tagged(tag: Option<&str>, line: &str) -> String {
-    match tag {
-        Some(t) => format!("#{t} {line}"),
-        None => line.to_string(),
+    let mut out = String::with_capacity(tag.map_or(0, |t| t.len() + 2) + line.len());
+    write_tag(&mut out, tag);
+    out.push_str(line);
+    out
+}
+
+/// Appends the `#tag ` prefix to `out` when a tag is present.
+pub fn write_tag(out: &mut String, tag: Option<&str>) {
+    if let Some(t) = tag {
+        out.push('#');
+        out.push_str(t);
+        out.push(' ');
     }
+}
+
+/// Appends one whole wire line to `out`: the tag prefix, `payload`, `\n`.
+/// Responses are rendered line by line into one buffer and written to the
+/// socket in a single `write` (see [`crate::net`]).
+pub fn write_line(out: &mut String, tag: Option<&str>, payload: impl fmt::Display) {
+    write_tag(out, tag);
+    write!(out, "{payload}").expect("writing to a String cannot fail");
+    out.push('\n');
 }
 
 /// Parses `("+" | "-") clause` into an update — the same surface grammar
@@ -318,10 +339,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// the stable machine-readable `code=` token so clients can classify
 /// (retryable vs deterministic) without parsing prose.
 pub fn render_outcome(outcome: &Outcome) -> String {
+    let mut out = String::new();
+    write_outcome(&mut out, outcome);
+    out
+}
+
+/// Appends [`render_outcome`]'s text to `out`.
+pub fn write_outcome(out: &mut String, outcome: &Outcome) {
     match outcome {
-        Outcome::Accepted { group, version } => format!("ok group={group} version={version}"),
-        Outcome::Rejected(e) => format!("err code={} {e}", e.code()),
+        Outcome::Accepted { group, version } => write!(out, "ok group={group} version={version}"),
+        Outcome::Rejected(e) => write!(out, "err code={} {e}", e.code()),
     }
+    .expect("writing to a String cannot fail");
 }
 
 /// Renders the stats snapshot as its terminator line.

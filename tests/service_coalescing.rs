@@ -5,6 +5,8 @@
 //! time — for every engine, durable engines included, across a
 //! kill-and-reopen.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{EngineBox, MaintenanceEngine, StorageSpec, SupportDump, Update};
@@ -89,8 +91,15 @@ fn grouped_run(engine: &mut EngineBox, stream: &[Update], group: usize) -> Vec<D
     decisions
 }
 
+/// A fresh store directory. The per-call counter keeps the `#[test]`s of
+/// this binary, which run in parallel, out of each other's directories.
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("strata_svc_coal_{name}_{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "strata_svc_coal_{name}_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
