@@ -52,6 +52,16 @@
 //! (the live engine is untouched); recovery still lands the canonical
 //! state because it reconstructs the program and builds fresh.
 //!
+//! Either kind encodes the live state in one pass: relations by name,
+//! each relation's tuples by content, on slices borrowed from the model's
+//! arenas and the program's fact set ([`wire::sort_relations`]) — no fact
+//! is cloned to be written down. The support section of a full snapshot
+//! comes from [`MaintenanceEngine::support_dump`] and is **audit data**:
+//! recovery never reads it back (it rebuilds supports from the program);
+//! it is there so that a snapshot is a whole belief state one can inspect.
+//! The `strata_checkpoint_encode_us` / `strata_checkpoint_write_us`
+//! histograms (`kind="full"|"delta"`) say where a checkpoint's time went.
+//!
 //! [`MaintenanceEngine::auto_checkpoint`] consults the configured
 //! [`CompactionPolicy`] (WAL bytes / txn count / estimated replay time)
 //! and checkpoints when a threshold is crossed — the service worker calls
@@ -59,10 +69,11 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 use strata_datalog::wire::{self, Reader, WireError};
-use strata_datalog::{Database, Fact, Program, RelStamp, Rule, Symbol};
+use strata_datalog::{Database, Fact, Program, RelStamp, Rule, Symbol, Value};
 use strata_store::{CompactionPolicy, Durability, FaultInjector, Store};
 
 use crate::engine::{DurabilityStats, EngineBox, MaintenanceEngine, MaintenanceError, Update};
@@ -459,20 +470,35 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, MaintenanceError> {
 // Snapshot payload codec: program + model + support dump.
 // ---------------------------------------------------------------------------
 
+/// The asserted facts of `program` grouped by relation, in canonical order
+/// ([`wire::sort_relations`]), borrowed — no fact is cloned. With `only`,
+/// exactly those relations, each present even when no fact of it is left
+/// (how a delta says "now empty"); one pass over the program either way.
+fn program_relations<'a>(
+    program: &'a Program,
+    only: Option<&FxHashSet<Symbol>>,
+) -> Vec<wire::RelTuples<'a>> {
+    let mut by_rel: FxHashMap<Symbol, Vec<&[Value]>> =
+        only.into_iter().flatten().map(|&rel| (rel, Vec::new())).collect();
+    for f in program.facts() {
+        if only.map_or(true, |rels| rels.contains(&f.rel)) {
+            by_rel.entry(f.rel).or_default().push(&f.args);
+        }
+    }
+    let mut rels: Vec<wire::RelTuples<'a>> = by_rel.into_iter().collect();
+    wire::sort_relations(&mut rels);
+    rels
+}
+
+/// The rule list in slot order: recovery re-adds the rules in sequence, so
+/// rule ids come out dense and deterministic.
+fn rule_texts(program: &Program) -> Vec<String> {
+    program.rules().map(|(_, r)| r.to_string()).collect()
+}
+
 fn put_program(buf: &mut Vec<u8>, program: &Program) {
-    let mut facts: Vec<Fact> = program.facts().cloned().collect();
-    facts.sort_by(wire::fact_wire_cmp);
-    wire::put_u32(buf, facts.len() as u32);
-    for f in &facts {
-        wire::put_fact(buf, f);
-    }
-    // Rules in slot order: recovery re-adds them in sequence, so rule ids
-    // come out dense and deterministic.
-    let rules: Vec<String> = program.rules().map(|(_, r)| r.to_string()).collect();
-    wire::put_u32(buf, rules.len() as u32);
-    for r in &rules {
-        wire::put_str(buf, r);
-    }
+    wire::put_relations(buf, &program_relations(program, None));
+    put_string_list(buf, &rule_texts(program));
 }
 
 fn get_program(r: &mut Reader<'_>) -> Result<Program, MaintenanceError> {
@@ -606,7 +632,9 @@ pub struct SnapshotState {
 pub fn encode_state(engine: &dyn MaintenanceEngine) -> Vec<u8> {
     let mut buf = Vec::new();
     put_program(&mut buf, engine.program());
-    wire::put_store(&mut buf, engine.model());
+    let mut model = wire::database_relations(engine.model());
+    wire::sort_relations(&mut model);
+    wire::put_relations(&mut buf, &model);
     put_support_dump(&mut buf, &engine.support_dump());
     buf
 }
@@ -647,13 +675,13 @@ pub struct DeltaState {
     pub model_rels: Vec<(Symbol, Vec<Fact>)>,
 }
 
-fn put_rel_sections(buf: &mut Vec<u8>, sections: &[(Symbol, Vec<Fact>)]) {
+fn put_rel_sections(buf: &mut Vec<u8>, sections: &[wire::RelTuples<'_>]) {
     wire::put_u32(buf, sections.len() as u32);
-    for (rel, facts) in sections {
+    for (rel, tuples) in sections {
         wire::put_str(buf, rel.as_str());
-        wire::put_u32(buf, facts.len() as u32);
-        for f in facts {
-            wire::put_fact(buf, f);
+        wire::put_u32(buf, tuples.len() as u32);
+        for t in tuples {
+            wire::put_tuple(buf, *rel, t);
         }
     }
 }
@@ -671,13 +699,36 @@ fn get_rel_sections(r: &mut Reader<'_>) -> Result<Vec<(Symbol, Vec<Fact>)>, Main
     Ok(sections)
 }
 
-/// Encodes a delta payload.
-pub fn encode_delta(delta: &DeltaState) -> Vec<u8> {
+/// The delta layout, from borrowed sections: what [`encode_delta`] and the
+/// live checkpoint path ([`DurableEngine`]'s `write_delta`) both emit.
+fn encode_delta_sections(
+    program_rels: &[wire::RelTuples<'_>],
+    rules: &[String],
+    model_rels: &[wire::RelTuples<'_>],
+) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_rel_sections(&mut buf, &delta.program_rels);
-    put_string_list(&mut buf, &delta.rules);
-    put_rel_sections(&mut buf, &delta.model_rels);
+    put_rel_sections(&mut buf, program_rels);
+    put_string_list(&mut buf, rules);
+    put_rel_sections(&mut buf, model_rels);
     buf
+}
+
+/// Encodes a delta payload: [`decode_delta`]'s inverse, for tools and tests
+/// that hold an owned [`DeltaState`]. A checkpoint never builds one — it
+/// encodes sections borrowed from the live state — but both end in the one
+/// layout writer, so re-encoding a decoded link reproduces its bytes.
+pub fn encode_delta(delta: &DeltaState) -> Vec<u8> {
+    fn borrowed(sections: &[(Symbol, Vec<Fact>)]) -> Vec<wire::RelTuples<'_>> {
+        sections
+            .iter()
+            .map(|(rel, facts)| (*rel, facts.iter().map(|f| &*f.args).collect()))
+            .collect()
+    }
+    encode_delta_sections(
+        &borrowed(&delta.program_rels),
+        &delta.rules,
+        &borrowed(&delta.model_rels),
+    )
 }
 
 /// Decodes a delta payload.
@@ -821,6 +872,18 @@ fn bulk_fold(program: &mut Program, update: &Update) -> Result<(), MaintenanceEr
     Ok(())
 }
 
+/// Records where one checkpoint's time went: `start..encoded` building the
+/// payload from the live state, `encoded..now` in the store (CRC, file
+/// write, fsyncs, rename, WAL truncation).
+fn record_checkpoint(kind: &str, start: Instant, encoded: Instant) {
+    let obs = strata_obs::global();
+    let labels = [("kind", kind)];
+    obs.histogram_with("strata_checkpoint_encode_us", &labels)
+        .record((encoded - start).as_micros() as u64);
+    obs.histogram_with("strata_checkpoint_write_us", &labels)
+        .record(encoded.elapsed().as_micros() as u64);
+}
+
 impl DurableEngine {
     /// Opens (or creates) the durable engine stored at `path` with default
     /// knobs (full snapshots, engine-exact replay, no auto-compaction).
@@ -871,7 +934,7 @@ impl DurableEngine {
         initial: Program,
         faults: Option<std::sync::Arc<FaultInjector>>,
     ) -> Result<DurableEngine, MaintenanceError> {
-        let recovery_start = std::time::Instant::now();
+        let recovery_start = Instant::now();
         let (store, recovered) =
             Store::open_with(&spec.dir, spec.fsync, faults).map_err(storage_err)?;
         let fresh = recovered.snapshot.is_none();
@@ -894,7 +957,7 @@ impl DurableEngine {
         }
         let committed_bytes: u64 =
             recovered.committed.iter().flat_map(|t| t.records.iter()).map(|r| r.len() as u64).sum();
-        let replay_start = std::time::Instant::now();
+        let replay_start = Instant::now();
         let mut recovered_updates = 0u64;
         let inner = match spec.replay {
             ReplayMode::Engine => {
@@ -988,11 +1051,13 @@ impl DurableEngine {
             engine.replay_bytes_per_ms = (committed_bytes / replay_ms).max(1);
         }
         engine.rebaseline();
-        if fresh {
-            engine.write_snapshot()?;
-        }
         let recovery_us = recovery_start.elapsed().as_micros() as u64;
         engine.recovery_ms = recovery_us / 1000;
+        if fresh {
+            // A checkpoint, timed as one (`strata_checkpoint_*_us`): a fresh
+            // store recovered nothing, so none of this is recovery time.
+            engine.write_snapshot()?;
+        }
         let obs = strata_obs::global();
         obs.histogram("strata_recovery_us").record(recovery_us);
         obs.counter("strata_recovered_txns_total").add(engine.recovered_txns);
@@ -1014,8 +1079,11 @@ impl DurableEngine {
     }
 
     fn write_snapshot(&mut self) -> Result<(), MaintenanceError> {
+        let start = Instant::now();
         let payload = encode_state(self.inner.as_ref());
+        let encoded = Instant::now();
         self.store.write_snapshot(&self.strategy, payload).map_err(storage_err)?;
+        record_checkpoint("full", start, encoded);
         self.rebaseline();
         Ok(())
     }
@@ -1028,35 +1096,25 @@ impl DurableEngine {
         self.dirty_rels.clear();
     }
 
-    /// Collects the patch since the last checkpoint: model relations whose
+    /// Encodes the patch since the last checkpoint: model relations whose
     /// stamp moved, program relations an update touched, and the full rule
-    /// list.
-    fn collect_delta(&self) -> DeltaState {
-        let model = self.inner.model();
-        let mut model_rels: Vec<(Symbol, Vec<Fact>)> = model
+    /// list — tuples borrowed from the live state, ordered as
+    /// [`encode_state`] orders them.
+    fn encode_live_delta(&self) -> Vec<u8> {
+        let mut model_rels: Vec<wire::RelTuples<'_>> = self
+            .inner
+            .model()
             .relations()
             .filter(|(sym, rel)| self.last_stamps.get(sym) != Some(&rel.stamp()))
-            .map(|(sym, _)| {
-                let mut facts: Vec<Fact> = model.facts_of(sym).collect();
-                facts.sort_by(wire::fact_wire_cmp);
-                (sym, facts)
-            })
+            .map(|(sym, rel)| (sym, rel.iter().collect()))
             .collect();
-        model_rels.sort_by_key(|(sym, _)| sym.as_str());
+        wire::sort_relations(&mut model_rels);
         let program = self.inner.program();
-        let mut program_rels: Vec<(Symbol, Vec<Fact>)> = self
-            .dirty_rels
-            .iter()
-            .map(|&sym| {
-                let mut facts: Vec<Fact> =
-                    program.facts().filter(|f| f.rel == sym).cloned().collect();
-                facts.sort_by(wire::fact_wire_cmp);
-                (sym, facts)
-            })
-            .collect();
-        program_rels.sort_by_key(|(sym, _)| sym.as_str());
-        let rules: Vec<String> = program.rules().map(|(_, r)| r.to_string()).collect();
-        DeltaState { program_rels, rules, model_rels }
+        encode_delta_sections(
+            &program_relations(program, Some(&self.dirty_rels)),
+            &rule_texts(program),
+            &model_rels,
+        )
     }
 
     /// Appends an incremental snapshot to the chain and empties the WAL.
@@ -1064,8 +1122,11 @@ impl DurableEngine {
     /// invalidate every stamp baseline); recovery still lands the
     /// canonical state by reconstructing the program and building fresh.
     fn write_delta(&mut self) -> Result<(), MaintenanceError> {
-        let payload = encode_delta(&self.collect_delta());
+        let start = Instant::now();
+        let payload = self.encode_live_delta();
+        let encoded = Instant::now();
         self.store.write_delta_snapshot(&self.strategy, payload).map_err(storage_err)?;
+        record_checkpoint("delta", start, encoded);
         self.rebaseline();
         Ok(())
     }
@@ -1595,6 +1656,28 @@ mod tests {
                 .unwrap();
         assert_eq!(e.model().sorted_facts(), model);
         assert_eq!(e.durability().unwrap().replay_mode, ReplayMode::Engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_are_timed_by_kind() {
+        // The registry is process-wide and other tests checkpoint too, so
+        // counts are compared by inequality.
+        let samples = |kind: &str| {
+            let obs = strata_obs::global();
+            let count = |name| obs.histogram_with(name, &[("kind", kind)]).snapshot().count;
+            count("strata_checkpoint_encode_us").min(count("strata_checkpoint_write_us"))
+        };
+        let (full, delta) = (samples("full"), samples("delta"));
+        let dir = tmpdir("ckpt_obs");
+        let mut spec = WalSpec::new(&dir);
+        spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
+        let mut e =
+            DurableEngine::open_spec(&spec, "cascade", cascade_ctor(), pods(), None).unwrap();
+        assert!(samples("full") > full, "a fresh store's first snapshot is a full checkpoint");
+        e.insert_fact(Fact::parse("submitted(7)").unwrap()).unwrap();
+        assert!(e.checkpoint().unwrap());
+        assert!(samples("delta") > delta, "a chain link is a delta checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -508,17 +508,16 @@ impl MaintenanceEngine for CascadeEngine {
     fn support_dump(&self) -> crate::support::SupportDump {
         // Rule pointers are rendered as rule text: slot indices are not
         // stable across a snapshot round-trip (snapshots re-pack deleted
-        // slots), rule structure is.
+        // slots), rule structure is. Each live rule is rendered once; the
+        // facts pointing at it share the text.
+        let texts: FxHashMap<RuleId, String> =
+            self.program.rules().map(|(id, r)| (id, r.to_string())).collect();
         crate::support::SupportDump::from_entries(
             self.supports
                 .iter()
                 .map(|(fact, sup)| {
-                    let mut rules: Vec<String> = sup
-                        .rules
-                        .iter()
-                        .filter_map(|id| self.program.rule(*id))
-                        .map(|r| r.to_string())
-                        .collect();
+                    let mut rules: Vec<String> =
+                        sup.rules.iter().filter_map(|id| texts.get(id).cloned()).collect();
                     rules.sort();
                     (
                         fact.clone(),

@@ -559,6 +559,22 @@ mod tests {
         assert_eq!(d.entries[0].0, Fact::parse("aa(2)").unwrap());
     }
 
+    #[test]
+    fn support_dump_orders_by_relation_name_before_arguments() {
+        // Relation names that share a long prefix: the whole name decides
+        // before any argument does.
+        let facts = ["abcdefgh_two(1)", "abcdefgh_one(5)", "abcdefgh_two(0)", "abcdefgh(9)"];
+        let d = SupportDump::from_entries(
+            facts.iter().map(|f| (Fact::parse(f).unwrap(), FactSupport::Entries(vec![]))).collect(),
+        );
+        let order: Vec<String> = d.entries.iter().map(|(f, _)| f.to_string()).collect();
+        assert_eq!(order, ["abcdefgh(9)", "abcdefgh_one(5)", "abcdefgh_two(0)", "abcdefgh_two(1)"]);
+        let sorted = |w: &[(Fact, FactSupport)]| {
+            strata_datalog::wire::fact_wire_cmp(&w[0].0, &w[1].0).is_lt()
+        };
+        assert!(d.entries.windows(2).all(sorted));
+    }
+
     /// Resolution against static dependencies: the paper's Example 2.
     #[test]
     fn signed_resolution_example2() {

@@ -25,10 +25,11 @@ pub type TupleData = Box<[Value]>;
 ///
 /// [`Database`] is the default, in-memory implementation (row arenas with
 /// per-column indexes). A durable backend materializes recovered state into
-/// any `TupleStore`, and the snapshot writer drains one through
-/// [`TupleStore::for_each_fact`] — neither needs to know how tuples are
-/// laid out. Method names carry a `_fact` suffix so the trait can coexist
-/// with `Database`'s richer inherent API.
+/// any `TupleStore` without knowing how tuples are laid out. (The snapshot
+/// *writer* does know: it borrows a `Database`'s arenas directly —
+/// [`crate::wire::database_relations`] — so a checkpoint clones no fact.)
+/// Method names carry a `_fact` suffix so the trait can coexist with
+/// `Database`'s richer inherent API.
 pub trait TupleStore {
     /// Inserts a fact; returns `true` if it was new.
     fn insert_fact(&mut self, fact: Fact) -> bool;

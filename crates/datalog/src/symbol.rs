@@ -2,8 +2,18 @@
 //!
 //! Relation names, constants, and variable names are interned into a global
 //! append-only table, making [`Symbol`] a `Copy` integer that is cheap to
-//! hash, compare, and store in tuples. Interning happens at parse/build time,
-//! never inside evaluation hot loops.
+//! hash, compare, and store in tuples.
+//!
+//! The two directions cost differently, on purpose. **Interning**
+//! ([`Symbol::new`]) takes a process-wide `Mutex` — it dedupes names — and
+//! happens where text enters: parsing, decoding a WAL record or a snapshot.
+//! **Resolving** ([`Symbol::as_str`], and through it `Display`, the wire
+//! codec and the canonical snapshot order) runs once per symbol per rendered
+//! row, per encoded value and per sort comparison, on every connection
+//! thread and on the checkpointing worker, so it takes no lock: names live
+//! in an append-only table of power-of-two buckets whose slots are written
+//! once — by the interning thread, before the id leaves `new` — and read
+//! with two acquire loads.
 
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -22,36 +32,59 @@ use rustc_hash::FxHashMap;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: FxHashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
+/// Name → id, behind the lock that makes interning idempotent. Ids are
+/// dense: the next one is always `ids.len()`.
+static IDS: OnceLock<Mutex<FxHashMap<&'static str, u32>>> = OnceLock::new();
 
-static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
+type Bucket = OnceLock<Box<[OnceLock<&'static str>]>>;
 
-fn interner() -> &'static Mutex<Interner> {
-    INTERNER.get_or_init(|| Mutex::new(Interner { map: FxHashMap::default(), names: Vec::new() }))
+/// Id → name. Bucket `b` holds the `2^b` ids `2^b - 1 ..= 2^(b+1) - 2`, so
+/// 32 buckets cover every id below `u32::MAX`; a bucket is allocated whole
+/// when its first id is assigned and never moves, which is what lets
+/// readers index it without a lock.
+static NAMES: [Bucket; 32] = {
+    // A const item is the pre-1.79 spelling of a repeated non-`Copy`
+    // initializer; each array element is its own fresh `OnceLock`.
+    #[allow(clippy::declare_interior_mutable_const)]
+    const EMPTY: Bucket = OnceLock::new();
+    [EMPTY; 32]
+};
+
+/// The `(bucket, slot)` of `id` in [`NAMES`].
+fn locate(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let bucket = n.ilog2();
+    (bucket as usize, (n - (1 << bucket)) as usize)
 }
 
 impl Symbol {
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn new(name: &str) -> Symbol {
-        let mut i = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = i.map.get(name) {
+        let mut ids = IDS.get_or_init(Default::default).lock().expect("symbol interner poisoned");
+        if let Some(&id) = ids.get(name) {
             return Symbol(id);
         }
+        let id = u32::try_from(ids.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .expect("symbol table overflow");
         // The interner is append-only and process-global, so leaking each
         // distinct name once bounds total leakage by the vocabulary size.
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(i.names.len()).expect("symbol table overflow");
-        i.names.push(leaked);
-        i.map.insert(leaked, id);
+        // Publish the name before the id can reach any reader: still under
+        // the lock, so each slot has exactly one writer.
+        let (bucket, slot) = locate(id);
+        let names =
+            NAMES[bucket].get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect());
+        names[slot].set(leaked).expect("symbol slot written twice");
+        ids.insert(leaked, id);
         Symbol(id)
     }
 
-    /// The interned name.
+    /// The interned name. Lock-free.
     pub fn as_str(self) -> &'static str {
-        interner().lock().expect("symbol interner poisoned").names[self.0 as usize]
+        let (bucket, slot) = locate(self.0);
+        NAMES[bucket].get().and_then(|names| names[slot].get()).expect("symbol id never interned")
     }
 
     /// The raw interner id (stable for the process lifetime).

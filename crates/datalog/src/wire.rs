@@ -20,7 +20,8 @@
 //! ```
 
 use crate::atom::Fact;
-use crate::storage::TupleStore;
+use crate::storage::{Database, TupleStore};
+use crate::symbol::Symbol;
 use crate::term::Value;
 
 /// A decoding failure: truncated input or an invalid tag/payload.
@@ -81,54 +82,90 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Appends one [`Fact`].
-pub fn put_fact(buf: &mut Vec<u8>, f: &Fact) {
-    put_str(buf, f.rel.as_str());
-    put_u32(buf, f.arity() as u32);
-    for v in f.args.iter() {
+/// Appends one fact given as its relation and a borrowed argument tuple —
+/// [`put_fact`]'s layout for tuples that still sit in a [`Relation`] arena.
+///
+/// [`Relation`]: crate::storage::Relation
+pub fn put_tuple(buf: &mut Vec<u8>, rel: Symbol, args: &[Value]) {
+    put_str(buf, rel.as_str());
+    put_u32(buf, args.len() as u32);
+    for v in args {
         put_value(buf, v);
     }
 }
 
-/// Appends every fact of a [`TupleStore`], count-prefixed, in sorted order
-/// (sorted so identical states serialize to identical bytes).
-pub fn put_store(buf: &mut Vec<u8>, store: &dyn TupleStore) {
-    let mut facts: Vec<Fact> = Vec::with_capacity(store.fact_count());
-    store.for_each_fact(&mut |f| facts.push(f.clone()));
-    facts.sort_by(fact_wire_cmp);
-    put_u32(buf, facts.len() as u32);
-    for f in &facts {
-        put_fact(buf, f);
+/// Appends one [`Fact`].
+pub fn put_fact(buf: &mut Vec<u8>, f: &Fact) {
+    put_tuple(buf, f.rel, &f.args);
+}
+
+/// One relation's tuples, borrowed from wherever they are stored.
+pub type RelTuples<'a> = (Symbol, Vec<&'a [Value]>);
+
+/// Every relation of `db` with its live tuples, borrowed from the arenas
+/// (order unspecified; see [`sort_relations`]).
+pub fn database_relations(db: &Database) -> Vec<RelTuples<'_>> {
+    db.relations().map(|(sym, rel)| (sym, rel.iter().collect())).collect()
+}
+
+/// Puts `rels` into the canonical order of persisted state: relations by
+/// name, each relation's tuples by [`tuple_wire_cmp`]. Flattened, that is
+/// exactly the [`fact_wire_cmp`] order — identical states serialize to
+/// identical bytes — reached by comparing each relation name once and
+/// moving pointers instead of cloned facts.
+pub fn sort_relations(rels: &mut [RelTuples<'_>]) {
+    rels.sort_unstable_by_key(|(rel, _)| rel.as_str());
+    for (_, tuples) in rels {
+        tuples.sort_unstable_by(|a, b| tuple_wire_cmp(a, b));
+    }
+}
+
+/// Appends every tuple of `rels` as a count-prefixed fact list, in the order
+/// given — the layout [`Reader::get_store`] reads back.
+pub fn put_relations(buf: &mut Vec<u8>, rels: &[RelTuples<'_>]) {
+    let count: usize = rels.iter().map(|(_, tuples)| tuples.len()).sum();
+    put_u32(buf, u32::try_from(count).expect("too many facts for wire format"));
+    for (rel, tuples) in rels {
+        for t in tuples {
+            put_tuple(buf, *rel, t);
+        }
     }
 }
 
 /// A process-independent total order on values: integers (numeric) before
-/// symbols (by name). Allocation-free — this runs inside the sort of every
-/// snapshot and support dump.
+/// symbols (by name). Allocation-free and lock-free — this runs inside the
+/// sort of every snapshot and support dump.
 pub fn value_wire_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Sym(x), Value::Sym(y)) if x == y => std::cmp::Ordering::Equal,
         (Value::Sym(x), Value::Sym(y)) => x.as_str().cmp(y.as_str()),
         (Value::Int(_), Value::Sym(_)) => std::cmp::Ordering::Less,
         (Value::Sym(_), Value::Int(_)) => std::cmp::Ordering::Greater,
     }
 }
 
-/// A process-independent total order on facts: by relation *name*, then by
-/// argument content ([`value_wire_cmp`]). `Fact`'s derived `Ord` goes
-/// through interner ids, which differ across processes.
-pub fn fact_wire_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
-    match a.rel.as_str().cmp(b.rel.as_str()) {
-        std::cmp::Ordering::Equal => {}
-        ord => return ord,
-    }
-    for (x, y) in a.args.iter().zip(b.args.iter()) {
+/// [`value_wire_cmp`] lifted to argument tuples: position by position, a
+/// shorter tuple first on a shared prefix.
+pub fn tuple_wire_cmp(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    for (x, y) in a.iter().zip(b) {
         match value_wire_cmp(x, y) {
             std::cmp::Ordering::Equal => {}
             ord => return ord,
         }
     }
-    a.args.len().cmp(&b.args.len())
+    a.len().cmp(&b.len())
+}
+
+/// A process-independent total order on facts: by relation *name*, then by
+/// argument content ([`tuple_wire_cmp`]). `Fact`'s derived `Ord` goes
+/// through interner ids, which differ across processes.
+pub fn fact_wire_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
+    if a.rel != b.rel {
+        // Distinct symbols have distinct names: never `Equal`.
+        return a.rel.as_str().cmp(b.rel.as_str());
+    }
+    tuple_wire_cmp(&a.args, &b.args)
 }
 
 /// A cursor over encoded bytes.
@@ -239,7 +276,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{parse_facts, Database};
+    use crate::storage::parse_facts;
 
     #[test]
     fn scalars_round_trip() {
@@ -270,6 +307,11 @@ mod tests {
 
     #[test]
     fn store_round_trip_and_stable_bytes() {
+        let put_store = |buf: &mut Vec<u8>, db: &Database| {
+            let mut rels = database_relations(db);
+            sort_relations(&mut rels);
+            put_relations(buf, &rels);
+        };
         let db = Database::from_facts(parse_facts("e(1, 2). e(2, 3). p(a)."));
         let mut buf = Vec::new();
         put_store(&mut buf, &db);
@@ -281,6 +323,52 @@ mod tests {
         let mut buf2 = Vec::new();
         put_store(&mut buf2, &db2);
         assert_eq!(buf, buf2);
+    }
+
+    #[test]
+    fn sort_relations_equals_the_flat_fact_order_on_adversarial_names() {
+        // Names that agree on a long prefix, names that are prefixes of one
+        // another, embedded NULs, the empty name, integer extremes, mixed
+        // columns and first-column ties.
+        let names =
+            ["", "a", "a\0", "a\0b", "abcdefgh", "abcdefghi", "abcdefgh\0", "abcdefgi", "é", "zz"];
+        let ints = [i64::MIN, -1, 0, 1, 10, i64::MAX];
+        let mut values: Vec<Value> = names.iter().map(|n| Value::sym(n)).collect();
+        values.extend(ints.iter().map(|&i| Value::int(i)));
+        let mut db = Database::new();
+        for (i, &x) in values.iter().enumerate() {
+            db.insert(Fact::new("abcdefgh_one", vec![x]));
+            db.insert(Fact::new("abcdefgh", vec![x, values[(i * 7 + 3) % values.len()]]));
+            for &y in &values[..4] {
+                db.insert(Fact::new("abcdefgh_two", vec![x, y]));
+            }
+        }
+        db.insert(Fact::prop("nullary"));
+        // The reference: clone every fact, sort flat, resolving both names
+        // on every comparison.
+        let mut flat: Vec<Fact> = db.iter_facts().collect();
+        flat.sort_by(|a, b| {
+            let by_value = |x: &Value, y: &Value| match (x, y) {
+                (Value::Int(x), Value::Int(y)) => x.cmp(y),
+                (Value::Sym(x), Value::Sym(y)) => x.as_str().cmp(y.as_str()),
+                (Value::Int(_), Value::Sym(_)) => std::cmp::Ordering::Less,
+                (Value::Sym(_), Value::Int(_)) => std::cmp::Ordering::Greater,
+            };
+            a.rel.as_str().cmp(b.rel.as_str()).then_with(|| {
+                let args = a.args.iter().zip(b.args.iter());
+                args.map(|(x, y)| by_value(x, y))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(a.args.len().cmp(&b.args.len()))
+            })
+        });
+        let mut rels = database_relations(&db);
+        sort_relations(&mut rels);
+        let sorted: Vec<Fact> = rels
+            .iter()
+            .flat_map(|(rel, tuples)| tuples.iter().map(|&t| Fact::new(*rel, t)))
+            .collect();
+        assert_eq!(sorted, flat);
+        assert!(flat.windows(2).all(|w| fact_wire_cmp(&w[0], &w[1]).is_lt()));
     }
 
     #[test]

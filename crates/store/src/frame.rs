@@ -19,34 +19,69 @@ pub const FRAME_OVERHEAD: usize = 8;
 /// allocation).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Table-driven, table built on first use.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+/// Slicing-by-8 lookup tables, built at compile time. `T[0]` is the classic
+/// byte-at-a-time table; `T[k][b]` is the CRC state after byte `b` followed
+/// by `k` zero bytes, which is what lets eight input bytes be folded with
+/// eight independent lookups instead of a chain of eight.
+static T: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = T[7][(lo & 0xff) as usize]
+            ^ T[6][((lo >> 8) & 0xff) as usize]
+            ^ T[5][((lo >> 16) & 0xff) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][(hi & 0xff) as usize]
+            ^ T[2][((hi >> 8) & 0xff) as usize]
+            ^ T[1][((hi >> 16) & 0xff) as usize]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = T[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
+/// Writes one frame around `payload` to `out`.
+pub fn write_frame_to(out: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
+    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload too large");
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(&crc32(payload).to_le_bytes())
+}
+
 /// Appends one frame around `payload`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload too large");
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    write_frame_to(out, payload).expect("writing to a Vec cannot fail");
 }
 
 /// One step of frame reading.
@@ -96,6 +131,38 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// The byte-at-a-time definition the sliced implementation must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_bytewise_reference_at_every_length_and_alignment() {
+        // Random bytes, every start offset 0..8 (so the eight-byte steps
+        // fall on every alignment) and lengths 0..=4096 in coprime strides
+        // (so every remainder 0..8 occurs at every offset).
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for off in 0..8 {
+            for len in (0..64).chain((64..=4096).step_by(61)).chain([4095, 4096]) {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {off}, length {len}");
+            }
+        }
     }
 
     #[test]

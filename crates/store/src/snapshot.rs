@@ -32,14 +32,46 @@
 //! the rename itself is durable.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::frame::{read_frame, write_frame, FrameRead};
+use crate::frame::{read_frame, write_frame_to, FrameRead, MAX_FRAME_LEN};
 
-const MAGIC: &[u8; 4] = b"SSNP";
-const DELTA_MAGIC: &[u8; 4] = b"SSND";
 const VERSION: u32 = 1;
+
+/// What tells the two containers apart: the magic, and the words a corrupt
+/// file is reported in — a recovery error names whether the base snapshot
+/// or a chain link is the damaged file.
+struct Kind {
+    magic: &'static [u8; 4],
+    bad_magic: &'static str,
+    bad_version: &'static str,
+    torn_meta: &'static str,
+    meta_not_utf8: &'static str,
+    torn_payload: &'static str,
+    trailing: &'static str,
+}
+
+const FULL: Kind = Kind {
+    magic: b"SSNP",
+    bad_magic: "bad magic",
+    bad_version: "unsupported version",
+    torn_meta: "torn meta frame",
+    meta_not_utf8: "meta is not UTF-8",
+    torn_payload: "torn payload frame",
+    trailing: "trailing bytes",
+};
+
+const DELTA: Kind = Kind {
+    magic: b"SSND",
+    bad_magic: "bad delta magic",
+    bad_version: "unsupported delta version",
+    torn_meta: "torn delta meta frame",
+    meta_not_utf8: "delta meta is not UTF-8",
+    torn_payload: "torn delta payload frame",
+    trailing: "trailing bytes after delta",
+};
 
 /// A decoded snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,60 +111,116 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// Writes the container: `header` (magic through the sequence numbers),
+/// then the `meta` and `payload` frames.
+fn write_container(
+    out: &mut impl Write,
+    header: &[u8],
+    meta: &str,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    out.write_all(header)?;
+    write_frame_to(out, meta.as_bytes())?;
+    write_frame_to(out, payload)
+}
+
+/// A parsed container: its `N` sequence numbers, the meta string, and the
+/// payload (as a range of the input, or owned).
+type Container<const N: usize, P> = ([u64; N], String, P);
+
+/// Validates a container of the given `kind` whose header holds `N`
+/// sequence numbers; returns them, the meta string, and where the payload
+/// sits in `bytes` (its frame's CRC already checked).
+fn parse_container<const N: usize>(
+    bytes: &[u8],
+    kind: &Kind,
+) -> Result<Container<N, Range<usize>>, SnapshotError> {
+    let header_len = 8 + 8 * N;
+    if bytes.len() < header_len || &bytes[..4] != kind.magic {
+        return Err(SnapshotError::Corrupt(kind.bad_magic));
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    if version != VERSION {
+        return Err(SnapshotError::Corrupt(kind.bad_version));
+    }
+    let mut seqs = [0u64; N];
+    for (i, seq) in seqs.iter_mut().enumerate() {
+        *seq = u64::from_le_bytes(bytes[8 + 8 * i..16 + 8 * i].try_into().unwrap());
+    }
+    let FrameRead::Ok { payload: meta, next } = read_frame(bytes, header_len) else {
+        return Err(SnapshotError::Corrupt(kind.torn_meta));
+    };
+    let meta = std::str::from_utf8(meta)
+        .map_err(|_| SnapshotError::Corrupt(kind.meta_not_utf8))?
+        .to_string();
+    let FrameRead::Ok { payload, next: end } = read_frame(bytes, next) else {
+        return Err(SnapshotError::Corrupt(kind.torn_payload));
+    };
+    if end != bytes.len() {
+        return Err(SnapshotError::Corrupt(kind.trailing));
+    }
+    Ok((seqs, meta, next + 4..next + 4 + payload.len()))
+}
+
+/// Reads and validates the container at `path`; `Ok(None)` if the file does
+/// not exist. The returned payload is the file's own buffer cut down to the
+/// payload range — no second copy of the state is made.
+fn read_container<const N: usize>(
+    path: &Path,
+    kind: &Kind,
+) -> Result<Option<Container<N, Vec<u8>>>, SnapshotError> {
+    let mut bytes = Vec::new();
+    match File::open(path) {
+        Ok(mut f) => f.read_to_end(&mut bytes)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let (seqs, meta, payload) = parse_container(&bytes, kind)?;
+    bytes.truncate(payload.end);
+    bytes.drain(..payload.start);
+    Ok(Some((seqs, meta, bytes)))
+}
+
 impl Snapshot {
+    fn header(&self) -> [u8; 16] {
+        let mut h = [0u8; 16];
+        h[..4].copy_from_slice(FULL.magic);
+        h[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        h[8..].copy_from_slice(&self.seq.to_le_bytes());
+        h
+    }
+
     /// Encodes the snapshot to its file representation.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + self.meta.len() + 32);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        write_frame(&mut out, self.meta.as_bytes());
-        write_frame(&mut out, &self.payload);
+        write_container(&mut out, &self.header(), &self.meta, &self.payload)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
     /// Decodes a snapshot from file bytes.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        if bytes.len() < 16 || &bytes[..4] != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic"));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(SnapshotError::Corrupt("unsupported version"));
-        }
-        let seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let FrameRead::Ok { payload: meta, next } = read_frame(bytes, 16) else {
-            return Err(SnapshotError::Corrupt("torn meta frame"));
-        };
-        let meta = std::str::from_utf8(meta)
-            .map_err(|_| SnapshotError::Corrupt("meta is not UTF-8"))?
-            .to_string();
-        let FrameRead::Ok { payload, next } = read_frame(bytes, next) else {
-            return Err(SnapshotError::Corrupt("torn payload frame"));
-        };
-        if next != bytes.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
-        Ok(Snapshot { seq, meta, payload: payload.to_vec() })
+        let ([seq], meta, payload) = parse_container(bytes, &FULL)?;
+        Ok(Snapshot { seq, meta, payload: bytes[payload].to_vec() })
     }
 
     /// Writes the snapshot to `path` atomically: temp file in the same
     /// directory, fsync, rename, fsync directory.
     ///
-    /// Errors (rather than panicking in `write_frame`) if the payload
+    /// Errors (rather than panicking in the frame writer) if the payload
     /// exceeds the 64 MiB single-frame cap — the current format's size
     /// limit for one belief state.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        check_frame_caps(&self.meta, &self.payload)?;
-        write_atomic_bytes(path, &self.encode())
+        write_atomic(path, &self.header(), &self.meta, &self.payload)
     }
 
     /// Reads the snapshot at `path`; `Ok(None)` if the file does not exist.
     pub fn read(path: &Path) -> Result<Option<Snapshot>, SnapshotError> {
-        match read_all(path)? {
-            Some(bytes) => Self::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
+        Ok(read_container(path, &FULL)?.map(|([seq], meta, payload)| Snapshot {
+            seq,
+            meta,
+            payload,
+        }))
     }
 }
 
@@ -151,98 +239,84 @@ pub struct DeltaSnapshot {
 }
 
 impl DeltaSnapshot {
+    fn header(&self) -> [u8; 24] {
+        let mut h = [0u8; 24];
+        h[..4].copy_from_slice(DELTA.magic);
+        h[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        h[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        h[16..].copy_from_slice(&self.prev_seq.to_le_bytes());
+        h
+    }
+
     /// Encodes the delta to its file representation.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + self.meta.len() + 40);
-        out.extend_from_slice(DELTA_MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.prev_seq.to_le_bytes());
-        write_frame(&mut out, self.meta.as_bytes());
-        write_frame(&mut out, &self.payload);
+        write_container(&mut out, &self.header(), &self.meta, &self.payload)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
     /// Decodes a delta from file bytes.
     pub fn decode(bytes: &[u8]) -> Result<DeltaSnapshot, SnapshotError> {
-        if bytes.len() < 24 || &bytes[..4] != DELTA_MAGIC {
-            return Err(SnapshotError::Corrupt("bad delta magic"));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(SnapshotError::Corrupt("unsupported delta version"));
-        }
-        let seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let prev_seq = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let FrameRead::Ok { payload: meta, next } = read_frame(bytes, 24) else {
-            return Err(SnapshotError::Corrupt("torn delta meta frame"));
-        };
-        let meta = std::str::from_utf8(meta)
-            .map_err(|_| SnapshotError::Corrupt("delta meta is not UTF-8"))?
-            .to_string();
-        let FrameRead::Ok { payload, next } = read_frame(bytes, next) else {
-            return Err(SnapshotError::Corrupt("torn delta payload frame"));
-        };
-        if next != bytes.len() {
-            return Err(SnapshotError::Corrupt("trailing bytes after delta"));
-        }
-        Ok(DeltaSnapshot { seq, prev_seq, meta, payload: payload.to_vec() })
+        let ([seq, prev_seq], meta, payload) = parse_container(bytes, &DELTA)?;
+        Ok(DeltaSnapshot { seq, prev_seq, meta, payload: bytes[payload].to_vec() })
     }
 
     /// Writes the delta to `path` atomically (same temp/fsync/rename dance
     /// as [`Snapshot::write_atomic`]).
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        check_frame_caps(&self.meta, &self.payload)?;
-        write_atomic_bytes(path, &self.encode())
+        write_atomic(path, &self.header(), &self.meta, &self.payload)
     }
 
     /// Reads the delta at `path`; `Ok(None)` if the file does not exist.
     pub fn read(path: &Path) -> Result<Option<DeltaSnapshot>, SnapshotError> {
-        match read_all(path)? {
-            Some(bytes) => Self::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
+        Ok(read_container(path, &DELTA)?.map(|([seq, prev_seq], meta, payload)| DeltaSnapshot {
+            seq,
+            prev_seq,
+            meta,
+            payload,
+        }))
     }
 }
 
-/// Errors (rather than panicking in `write_frame`) if a section exceeds
+/// Errors (rather than panicking in the frame writer) if a section exceeds
 /// the 64 MiB single-frame cap — the format's size limit per section.
 fn check_frame_caps(meta: &str, payload: &[u8]) -> Result<(), SnapshotError> {
-    if payload.len() > crate::frame::MAX_FRAME_LEN || meta.len() > crate::frame::MAX_FRAME_LEN {
+    if payload.len() > MAX_FRAME_LEN || meta.len() > MAX_FRAME_LEN {
         return Err(SnapshotError::Corrupt("snapshot payload exceeds the 64 MiB frame cap"));
     }
     Ok(())
 }
 
-/// Temp-write, fsync, rename over `path`, fsync the directory. The temp
-/// name is derived from the target file name, so concurrent writes of the
-/// base snapshot and a delta never collide on one temp file.
-fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// Streams one container to a temp file beside `path` — header, frame
+/// lengths, payload and CRCs through one `BufWriter`, so the file image is
+/// never assembled in memory — then fsync, rename over `path`, fsync the
+/// directory. The temp name is derived from the target file name, so
+/// concurrent writes of the base snapshot and a delta never collide on one
+/// temp file.
+fn write_atomic(
+    path: &Path,
+    header: &[u8],
+    meta: &str,
+    payload: &[u8],
+) -> Result<(), SnapshotError> {
+    check_frame_caps(meta, payload)?;
     let dir = path.parent().ok_or(SnapshotError::Corrupt("snapshot path has no parent"))?;
     let name = path.file_name().ok_or(SnapshotError::Corrupt("snapshot path has no file name"))?;
     let mut tmp_name = name.to_os_string();
     tmp_name.push(".tmp");
     let tmp: PathBuf = path.with_file_name(tmp_name);
     {
-        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        f.write_all(bytes)?;
+        let f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
+        let mut out = BufWriter::new(f);
+        write_container(&mut out, header, meta, payload)?;
+        let f = out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     // Persist the rename itself.
     File::open(dir)?.sync_all()?;
     Ok(())
-}
-
-/// Reads a whole file; `Ok(None)` if it does not exist.
-fn read_all(path: &Path) -> Result<Option<Vec<u8>>, SnapshotError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut bytes)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    Ok(Some(bytes))
 }
 
 #[cfg(test)]
@@ -325,5 +399,27 @@ mod tests {
         let mut bytes = s.encode();
         bytes.push(0);
         assert!(Snapshot::decode(&bytes).is_err(), "trailing bytes rejected");
+    }
+
+    #[test]
+    fn a_corrupt_chain_link_is_reported_as_a_delta() {
+        let msg = |bytes: &[u8]| match DeltaSnapshot::decode(bytes) {
+            Err(SnapshotError::Corrupt(msg)) => msg,
+            other => panic!("expected a corrupt delta, got {other:?}"),
+        };
+        let d = DeltaSnapshot { seq: 5, prev_seq: 3, meta: "m".into(), payload: vec![1, 2] };
+        let good = d.encode();
+        let s = Snapshot { seq: 5, meta: "m".into(), payload: vec![1, 2] };
+        assert_eq!(msg(&s.encode()), "bad delta magic");
+        let mut bytes = good.clone();
+        bytes[4] = 99;
+        assert_eq!(msg(&bytes), "unsupported delta version");
+        assert_eq!(msg(&good[..26]), "torn delta meta frame");
+        assert_eq!(msg(&good[..good.len() - 1]), "torn delta payload frame");
+        let mut bytes = good.clone();
+        bytes.push(0);
+        assert_eq!(msg(&bytes), "trailing bytes after delta");
+        // The base file keeps its own words.
+        assert!(matches!(Snapshot::decode(&good), Err(SnapshotError::Corrupt("bad magic"))));
     }
 }

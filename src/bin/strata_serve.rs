@@ -316,9 +316,14 @@ fn run(args: Args) -> Result<(), String> {
     if args.cluster_mode() {
         return run_cluster(&args, program, faults);
     }
+    // The supervisor's rebuild reopens the store, which ignores the seed
+    // unless the directory has vanished: one shared copy for that closure,
+    // made only for a durable store; the parsed original moves into the
+    // first build.
+    let seed = storage.is_durable().then(|| Arc::new(program.clone()));
     let registry = EngineRegistry::standard();
     let mut engine = registry
-        .build_with_storage_faults(&args.strategy, program.clone(), &storage, faults.clone())
+        .build_with_storage_faults(&args.strategy, program, &storage, faults.clone())
         .map_err(|e| e.to_string())?;
     if let Some(n) = args.threads {
         engine.set_parallelism(Parallelism::new(n));
@@ -347,25 +352,21 @@ fn run(args: Args) -> Result<(), String> {
     // nothing to rebuild from — a fresh build would silently drop every
     // committed update — so they get no rebuild and degrade to read-only
     // on persistent failure instead.
-    let rebuild: Option<EngineRebuild> = match &storage {
-        StorageSpec::Mem => None,
-        StorageSpec::Wal(_) => {
-            let strategy = args.strategy.clone();
-            let program = program.clone();
-            let storage = storage.clone();
-            let faults = faults.clone();
-            let threads = args.threads;
-            Some(Arc::new(move || {
-                let mut engine = EngineRegistry::standard()
-                    .build_with_storage_faults(&strategy, program.clone(), &storage, faults.clone())
-                    .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))?;
-                if let Some(n) = threads {
-                    engine.set_parallelism(Parallelism::new(n));
-                }
-                Ok(engine)
-            }))
-        }
-    };
+    let rebuild = seed.map(|seed| -> EngineRebuild {
+        let strategy = args.strategy.clone();
+        let storage = storage.clone();
+        let faults = faults.clone();
+        let threads = args.threads;
+        Arc::new(move || {
+            let mut engine = EngineRegistry::standard()
+                .build_with_storage_faults(&strategy, (*seed).clone(), &storage, faults.clone())
+                .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))?;
+            if let Some(n) = threads {
+                engine.set_parallelism(Parallelism::new(n));
+            }
+            Ok(engine)
+        })
+    });
     let service = Arc::new(Service::start_supervised(
         engine,
         args.cfg,

@@ -11,10 +11,10 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use stratamaint::core::durable::{DurableEngine, EngineCtor};
+use stratamaint::core::durable::{DurableEngine, EngineCtor, ReplayMode, SnapshotMode, WalSpec};
 use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{MaintenanceEngine, SupportDump, Update};
-use stratamaint::datalog::{Fact, Program};
+use stratamaint::datalog::{Fact, Program, Rule};
 use stratamaint::store::{Durability, SNAPSHOT_FILE, WAL_FILE};
 use stratamaint::workload::script::{random_fact_script, ScriptConfig};
 use stratamaint::workload::synth::{self, RandomConfig};
@@ -277,6 +277,71 @@ fn every_wal_byte_across_a_delta_snapshot_write_recovers_exactly() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the history that `tests/fixtures/parent_store` records — written
+/// there by the commit before the single-pass snapshot encoder, the
+/// streaming container writer and the sliced CRC — against a store at
+/// `dir`, leaving a base snapshot, one delta link and a WAL suffix.
+fn write_fixture_history(dir: &Path) -> DurableEngine {
+    let program = Program::parse(
+        "submitted(1). submitted(2). submitted(\"odd name.\"). accepted(2).
+         author(alice, 1). author(bob, 2). author(bob, \"odd name.\"). pc_member(bob).
+         rejected(X) :- submitted(X), !accepted(X).
+         conflicted(P) :- author(A, P), pc_member(A).",
+    )
+    .unwrap();
+    let mut spec = WalSpec::new(dir);
+    spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
+    let mut e =
+        DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), program, None).unwrap();
+    let fact = |s: &str| Fact::parse(s).unwrap();
+    e.apply_all(&[
+        Update::InsertFact(fact("accepted(1)")),
+        Update::InsertFact(fact("submitted(3)")),
+        Update::DeleteFact(fact("submitted(2)")),
+    ])
+    .unwrap();
+    e.insert_rule(Rule::parse("late(X) :- submitted(X), !reviewed(X).").unwrap()).unwrap();
+    assert!(e.checkpoint().unwrap());
+    e.insert_fact(fact("reviewed(3)")).unwrap();
+    e.delete_fact(fact("accepted(1)")).unwrap();
+    e
+}
+
+/// The on-disk format did not move: a store the parent commit wrote opens
+/// under this code to the state its history implies, and this code, given
+/// the same history, writes the same three files byte for byte — so the
+/// parent opens what this code writes.
+#[test]
+fn parent_written_store_opens_and_is_rewritten_byte_for_byte() {
+    const FILES: [&str; 3] = [SNAPSHOT_FILE, "snapshot.delta-1", WAL_FILE];
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store");
+    let ours = scratch("fixture_ours");
+    let live = write_fixture_history(&ours);
+    let expected = (live.model().sorted_facts(), live.program().num_facts());
+    drop(live);
+    let theirs = scratch("fixture_theirs");
+    std::fs::create_dir_all(&theirs).unwrap();
+    for name in FILES {
+        let parent = std::fs::read(fixture.join(format!("{name}.bin"))).unwrap();
+        assert_eq!(std::fs::read(ours.join(name)).unwrap(), parent, "{name} differs");
+        std::fs::write(theirs.join(name), parent).unwrap();
+    }
+    for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
+        let mut spec = WalSpec::new(&theirs);
+        spec.replay = replay;
+        let e =
+            DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), Program::new(), None)
+                .unwrap();
+        let d = e.durability().unwrap();
+        assert_eq!((d.snapshot_chain_len, d.recovered_txns), (1, 2), "{replay} replay");
+        assert_eq!((e.model().sorted_facts(), e.program().num_facts()), expected);
+        assert!(e.model().contains_parsed("late(\"odd name.\")"));
+        assert!(!e.model().contains_parsed("late(3)"));
+    }
+    let _ = std::fs::remove_dir_all(&ours);
+    let _ = std::fs::remove_dir_all(&theirs);
 }
 
 proptest! {
