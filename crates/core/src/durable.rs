@@ -1323,10 +1323,6 @@ impl MaintenanceEngine for DurableEngine {
             replay_mode: self.replay_mode,
         })
     }
-
-    fn set_parallelism(&mut self, parallelism: strata_datalog::Parallelism) -> bool {
-        self.inner.set_parallelism(parallelism)
-    }
 }
 
 #[cfg(test)]

@@ -21,12 +21,6 @@
 //! | [`strategy::CascadeEngine`] | `cascade` | 5.1 | one-level rule pointers, strata cascaded |
 //! | [`strategy::FactLevelEngine`] | `fact-level` | 5.2 | full fact-level supports (zero migration) |
 //!
-//! Two **parallel** variants ride on top: `cascade-parallel` and
-//! `recompute-parallel` run the same engines with per-stratum saturation
-//! sharded across a worker pool (`STRATA_THREADS`, see
-//! [`strata_datalog::eval::par`]); their results are bit-identical to the
-//! sequential strategies at any thread count.
-//!
 //! All of them implement [`engine::MaintenanceEngine`] and agree on the
 //! resulting model (checked extensively by tests); they differ in how much
 //! **migration** (erroneous removal followed by re-derivation) and
@@ -78,6 +72,5 @@ pub use registry::{EngineRegistry, RegistryError};
 // re-exported here so service-layer crates arm plans without a direct
 // store dependency.
 pub use stats::UpdateStats;
-pub use strata_datalog::Parallelism;
 pub use strata_store::{faults, FaultInjector, FaultPlan, FaultPoint, ShardManifest};
 pub use support::SupportDump;

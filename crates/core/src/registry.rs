@@ -37,7 +37,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use strata_datalog::{Parallelism, Program};
+use strata_datalog::Program;
 
 use crate::durable::{DurableEngine, StorageSpec};
 use crate::engine::{EngineBox, MaintenanceError};
@@ -95,12 +95,6 @@ pub struct StrategyEntry {
     /// [`StorageSpec::Mem`]; set via [`EngineRegistry::set_storage`] to
     /// make every [`EngineRegistry::build`] of this strategy durable.
     pub storage: StorageSpec,
-    /// Worker-count override applied (via
-    /// [`crate::engine::MaintenanceEngine::set_parallelism`]) to every
-    /// engine built from this entry. `None` leaves the constructor's own
-    /// choice — `STRATA_THREADS`-aware for the `*-parallel` strategies —
-    /// untouched. Set via [`EngineRegistry::set_parallelism`].
-    pub parallelism: Option<Parallelism>,
     ctor: EngineCtor,
 }
 
@@ -151,22 +145,6 @@ impl EngineRegistry {
             true,
             |p| Ok(Box::new(FactLevelEngine::new(p)?)),
         );
-        // The parallel variants follow the paper's six: the same semantics,
-        // with per-stratum saturation sharded across a worker pool
-        // (STRATA_THREADS, or the CPU count). Results are bit-identical to
-        // their sequential counterparts at any thread count.
-        r.register(
-            "cascade-parallel",
-            "§5.1 cascade with per-stratum parallel saturation (STRATA_THREADS workers)",
-            true,
-            |p| Ok(Box::new(CascadeEngine::parallel(p, Parallelism::auto())?)),
-        );
-        r.register(
-            "recompute-parallel",
-            "recompute baseline with parallel saturation (STRATA_THREADS workers)",
-            false,
-            |p| Ok(Box::new(RecomputeEngine::parallel(p, Parallelism::auto())?)),
-        );
         r
     }
 
@@ -184,7 +162,6 @@ impl EngineRegistry {
             summary,
             incremental,
             storage: StorageSpec::Mem,
-            parallelism: None,
             ctor: Arc::new(ctor),
         };
         match self.entries.iter_mut().find(|e| e.name == name) {
@@ -201,24 +178,6 @@ impl EngineRegistry {
         match self.entries.iter_mut().find(|e| e.name == name) {
             Some(entry) => {
                 entry.storage = storage;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Sets the worker count of a registered strategy: every subsequent
-    /// [`build`] applies it through the engine's `set_parallelism` hook.
-    /// Returns `false` if the name is unknown. The knob never changes
-    /// results — only how many threads saturation uses — so it composes
-    /// freely with [`set_storage`].
-    ///
-    /// [`build`]: EngineRegistry::build
-    /// [`set_storage`]: EngineRegistry::set_storage
-    pub fn set_parallelism(&mut self, name: &str, parallelism: Parallelism) -> bool {
-        match self.entries.iter_mut().find(|e| e.name == name) {
-            Some(entry) => {
-                entry.parallelism = Some(parallelism);
                 true
             }
             None => false,
@@ -294,7 +253,7 @@ impl EngineRegistry {
         storage: &StorageSpec,
         faults: Option<Arc<strata_store::FaultInjector>>,
     ) -> Result<EngineBox, RegistryError> {
-        let mut engine: EngineBox = match storage {
+        Ok(match storage {
             StorageSpec::Mem => (entry.ctor)(program)?,
             StorageSpec::Wal(spec) => Box::new(DurableEngine::open_spec(
                 spec,
@@ -303,14 +262,7 @@ impl EngineRegistry {
                 program,
                 faults,
             )?),
-        };
-        if let Some(par) = entry.parallelism {
-            // Applied after construction (and after any WAL replay): the
-            // knob only affects wall-clock time, never results, so late
-            // application is sound.
-            engine.set_parallelism(par);
-        }
-        Ok(engine)
+        })
     }
 
     /// Builds every registered engine over `program`, in registration
@@ -353,19 +305,10 @@ mod tests {
         let r = EngineRegistry::standard();
         assert_eq!(
             r.names(),
-            vec![
-                "recompute",
-                "static",
-                "dynamic-single",
-                "dynamic-multi",
-                "cascade",
-                "fact-level",
-                "cascade-parallel",
-                "recompute-parallel",
-            ]
+            vec!["recompute", "static", "dynamic-single", "dynamic-multi", "cascade", "fact-level"]
         );
         assert!(r.entries().all(|e| !e.summary.is_empty()));
-        assert_eq!(r.entries().filter(|e| !e.incremental).count(), 2);
+        assert_eq!(r.entries().filter(|e| !e.incremental).count(), 1);
     }
 
     #[test]
@@ -386,7 +329,7 @@ mod tests {
             panic!("expected UnknownStrategy, got {err}")
         };
         assert_eq!(name, "nonsense");
-        assert_eq!(known.len(), 8);
+        assert_eq!(known.len(), 6);
         let msg = err.to_string();
         assert!(msg.contains("nonsense") && msg.contains("cascade"), "{msg}");
     }
@@ -405,7 +348,7 @@ mod tests {
     fn build_all_agrees_across_strategies() {
         let r = EngineRegistry::standard();
         let mut engines = r.build_all(&pods());
-        assert_eq!(engines.len(), 8);
+        assert_eq!(engines.len(), 6);
         let update = Update::InsertFact(Fact::parse("accepted(1)").unwrap());
         for e in &mut engines {
             e.apply(&update).unwrap();
@@ -453,45 +396,9 @@ mod tests {
     fn register_replaces_in_place() {
         let mut r = EngineRegistry::standard();
         r.register("cascade", "configured variant", true, |p| Ok(Box::new(CascadeEngine::new(p)?)));
-        assert_eq!(r.names().len(), 8, "replacement must not duplicate");
+        assert_eq!(r.names().len(), 6, "replacement must not duplicate");
         let entry = r.entries().find(|e| e.name == "cascade").unwrap();
         assert_eq!(entry.summary, "configured variant");
         assert!(r.contains("cascade") && !r.contains("casc"));
-    }
-
-    #[test]
-    fn parallel_strategies_agree_with_their_sequential_counterparts() {
-        let r = EngineRegistry::standard();
-        for (seq, par) in [("cascade", "cascade-parallel"), ("recompute", "recompute-parallel")] {
-            let mut a = r.build(seq, pods()).unwrap();
-            let mut b = r.build(par, pods()).unwrap();
-            assert_eq!(b.name(), par);
-            let update = Update::InsertFact(Fact::parse("accepted(1)").unwrap());
-            let sa = a.apply(&update).unwrap();
-            let sb = b.apply(&update).unwrap();
-            assert_eq!(sa, sb, "[{par}] stats");
-            assert_eq!(a.model().sorted_facts(), b.model().sorted_facts(), "[{par}] model");
-            assert_eq!(a.support_dump(), b.support_dump(), "[{par}] supports");
-        }
-    }
-
-    #[test]
-    fn set_parallelism_applies_on_build() {
-        let mut r = EngineRegistry::standard();
-        assert!(r.entries().all(|e| e.parallelism.is_none()));
-        assert!(r.set_parallelism("cascade-parallel", Parallelism::new(2)));
-        assert!(!r.set_parallelism("nonsense", Parallelism::new(2)));
-        // The configured build still agrees with the sequential engine.
-        let mut a = r.build("cascade", pods()).unwrap();
-        let mut b = r.build("cascade-parallel", pods()).unwrap();
-        let update = Update::InsertFact(Fact::parse("submitted(7)").unwrap());
-        assert_eq!(a.apply(&update).unwrap(), b.apply(&update).unwrap());
-        assert_eq!(a.model().sorted_facts(), b.model().sorted_facts());
-        // Sequential engines ignore the knob; parallel ones honor it.
-        assert!(!r.build("static", pods()).unwrap().set_parallelism(Parallelism::new(4)));
-        assert!(r
-            .build("recompute-parallel", pods())
-            .unwrap()
-            .set_parallelism(Parallelism::new(4)));
     }
 }

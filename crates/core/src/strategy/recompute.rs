@@ -5,11 +5,10 @@
 //! also the ground truth every other engine is verified against.
 
 use rustc_hash::FxHashSet;
-use strata_datalog::eval::par;
-use strata_datalog::eval::seminaive::DeltaStats;
+use strata_datalog::eval::seminaive::{self, DeltaStats};
 use strata_datalog::eval::NullNewFact;
 use strata_datalog::model::{StratKind, Strata};
-use strata_datalog::{Database, Fact, Parallelism, Program};
+use strata_datalog::{Database, Fact, Program};
 
 use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
 use crate::stats::UpdateStats;
@@ -17,47 +16,25 @@ use crate::strategy::{add_rule_checked, find_rule_checked, retract_checked};
 
 /// Recomputes the standard model after every update.
 pub struct RecomputeEngine {
-    /// `"recompute"`, or `"recompute-parallel"` when built via
-    /// [`RecomputeEngine::parallel`].
-    name: &'static str,
     program: Program,
     model: Database,
-    parallelism: Parallelism,
 }
 
 impl RecomputeEngine {
     /// Builds the engine, computing `M(P)`.
     pub fn new(program: Program) -> Result<RecomputeEngine, MaintenanceError> {
-        let (model, _) = compute(&program, Parallelism::sequential())?;
-        Ok(RecomputeEngine {
-            name: "recompute",
-            program,
-            model,
-            parallelism: Parallelism::sequential(),
-        })
-    }
-
-    /// Builds the `recompute-parallel` variant: every recomputation's
-    /// saturation is sharded across `parallelism` workers.
-    pub fn parallel(
-        program: Program,
-        parallelism: Parallelism,
-    ) -> Result<RecomputeEngine, MaintenanceError> {
-        let (model, _) = compute(&program, parallelism)?;
-        Ok(RecomputeEngine { name: "recompute-parallel", program, model, parallelism })
+        let (model, _) = compute(&program)?;
+        Ok(RecomputeEngine { program, model })
     }
 
     fn recompute(&mut self) -> Result<u64, MaintenanceError> {
-        let (model, firings) = compute(&self.program, self.parallelism)?;
+        let (model, firings) = compute(&self.program)?;
         self.model = model;
         Ok(firings)
     }
 }
 
-fn compute(
-    program: &Program,
-    parallelism: Parallelism,
-) -> Result<(Database, u64), MaintenanceError> {
+fn compute(program: &Program) -> Result<(Database, u64), MaintenanceError> {
     let strata = Strata::build(program, StratKind::ByLevels)
         .map_err(|e| MaintenanceError::Datalog(e.into()))?;
     let mut db = Database::new();
@@ -66,19 +43,14 @@ fn compute(
         for f in strata.facts_of(i) {
             db.insert(f.clone());
         }
-        par::saturate(&mut db, strata.rules_of(i), &mut NullNewFact, &mut stats, parallelism);
+        seminaive::saturate(&mut db, strata.rules_of(i), &mut NullNewFact, &mut stats);
     }
     Ok((db, stats.firings))
 }
 
 impl MaintenanceEngine for RecomputeEngine {
     fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn set_parallelism(&mut self, parallelism: Parallelism) -> bool {
-        self.parallelism = parallelism;
-        true
+        "recompute"
     }
 
     fn program(&self) -> &Program {

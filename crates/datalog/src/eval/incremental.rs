@@ -17,7 +17,7 @@ use rustc_hash::FxHashMap;
 use crate::atom::Fact;
 use crate::program::RuleId;
 use crate::rule::Rule;
-use crate::storage::{Database, Relation};
+use crate::storage::Database;
 use crate::symbol::Symbol;
 use crate::term::{Term, Value};
 
@@ -72,7 +72,7 @@ pub fn rederive(db: &Database, rules: &[CompiledRule], fact: &Fact) -> Option<Ru
 
 /// [`rederive`] with caller-owned scratch buffers (the hot path inside
 /// [`stratum_saturate`]).
-pub fn rederive_with(
+fn rederive_with(
     db: &Database,
     rules: &[CompiledRule],
     fact: &Fact,
@@ -163,7 +163,7 @@ pub fn stratum_saturate<S: NewFactSink>(
     // 2. Negative-delta firing: removed lower-stratum tuples newly satisfy
     //    negative hypotheses.
     if !neg_delta.is_empty() {
-        let removed_by_rel: FxHashMap<Symbol, Relation> = group(neg_delta);
+        let removed_by_rel = seminaive::group_deltas(neg_delta);
         for cr in rules {
             let rid = cr.id();
             for (li, lit) in cr.rule().body.iter().enumerate() {
@@ -193,19 +193,11 @@ pub fn stratum_saturate<S: NewFactSink>(
     }
 
     // 3. Ordinary semi-naive rounds over the positive frontier.
-    seminaive::drive(db, rules, frontier, sink, stats, &mut added);
+    seminaive::drive(db, rules, frontier, sink, stats, &mut added, &mut scratch);
     // `drive` extends `added` with everything it inserts, but the frontier
     // fed to it contained `pos_delta` facts already present in `db`, which it
     // will not re-add; nothing further to reconcile.
     added
-}
-
-fn group(facts: &[Fact]) -> FxHashMap<Symbol, Relation> {
-    let mut by_rel: FxHashMap<Symbol, Relation> = FxHashMap::default();
-    for f in facts {
-        by_rel.entry(f.rel).or_insert_with(|| Relation::new(f.arity())).insert(f.args.clone());
-    }
-    by_rel
 }
 
 #[cfg(test)]

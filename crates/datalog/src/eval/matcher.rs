@@ -13,10 +13,7 @@
 //!
 //! * the **compiled** path ([`super::plan`]) — plans built once per
 //!   `(rule, delta_position)` and executed with a flat slot register file;
-//!   the engines hold [`super::plan::CompiledRule`]s and call it directly.
-//!   [`for_each_match_seeded`] / [`for_each_match`] are thin compatibility
-//!   wrappers that compile on the fly (convenient for one-shot matching:
-//!   tests, REPL queries, firing a freshly inserted rule once);
+//!   the engines hold [`super::plan::CompiledRule`]s and call them directly;
 //! * the **interpreted** path ([`for_each_match_interpreted`]) — the
 //!   original tuple-at-a-time interpreter with hash-map bindings, kept as
 //!   the executable reference: the differential property suite checks the
@@ -31,41 +28,7 @@ use crate::storage::{Database, Relation};
 use crate::symbol::Symbol;
 use crate::term::{Term, Value};
 
-use super::plan::{greedy_order, CompiledPlan, MatchScratch};
-
-/// Enumerates ground instances of `rule` over `db` (compiled path).
-///
-/// * `delta` — optionally `(body_position, relation)`: the literal at that
-///   position is enumerated from the given relation instead of `db`. The
-///   position may name a **negative** literal (incremental firing over
-///   removed tuples); its absence from `db` is still checked.
-/// * `seed` — initial variable bindings (used for targeted re-derivation).
-/// * `callback(head, pos_body, neg_body)` — invoked per match; return
-///   `false` to stop the enumeration early.
-///
-/// This compiles a [`CompiledPlan`] per invocation; callers on a hot path
-/// should compile once and execute the plan directly.
-pub fn for_each_match_seeded<F>(
-    db: &Database,
-    rule: &Rule,
-    delta: Option<(usize, &Relation)>,
-    seed: &[(Symbol, Value)],
-    callback: F,
-) where
-    F: FnMut(Fact, &[Fact], &[Fact]) -> bool,
-{
-    let plan = CompiledPlan::compile(rule, delta.map(|(i, _)| i));
-    let mut scratch = MatchScratch::new();
-    plan.for_each_derivation(db, delta.map(|(_, r)| r), seed, &mut scratch, callback);
-}
-
-/// [`for_each_match_seeded`] with no seed bindings.
-pub fn for_each_match<F>(db: &Database, rule: &Rule, delta: Option<(usize, &Relation)>, callback: F)
-where
-    F: FnMut(Fact, &[Fact], &[Fact]) -> bool,
-{
-    for_each_match_seeded(db, rule, delta, &[], callback);
-}
+use super::plan::greedy_order;
 
 // ---------------------------------------------------------------------------
 // The interpreted reference implementation.
@@ -113,10 +76,18 @@ struct Plan {
     order: Vec<usize>,
 }
 
-/// Same contract as [`for_each_match_seeded`], evaluated by the original
-/// interpreter: the literal order is re-derived per call and bindings live
-/// in a hash map. Kept as the reference implementation for differential
-/// tests and as the benchmark baseline.
+/// Enumerates ground instances of `rule` over `db`, evaluated by the
+/// original interpreter: the literal order is re-derived per call and
+/// bindings live in a hash map. Kept as the reference implementation for
+/// differential tests and as the benchmark baseline.
+///
+/// * `delta` — optionally `(body_position, relation)`: the literal at that
+///   position is enumerated from the given relation instead of `db`. The
+///   position may name a **negative** literal (incremental firing over
+///   removed tuples); its absence from `db` is still checked.
+/// * `seed` — initial variable bindings (used for targeted re-derivation).
+/// * `callback(head, pos_body, neg_body)` — invoked per match; return
+///   `false` to stop the enumeration early.
 pub fn for_each_match_interpreted<F>(
     db: &Database,
     rule: &Rule,
@@ -302,6 +273,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::plan::{CompiledPlan, MatchScratch};
     use crate::storage::parse_facts;
 
     fn db(src: &str) -> Database {
@@ -317,7 +289,9 @@ mod tests {
         mut check: impl FnMut(&str, Vec<(String, usize, usize)>),
     ) {
         let mut compiled = Vec::new();
-        for_each_match_seeded(db, rule, delta, seed, |h, p, n| {
+        let plan = CompiledPlan::compile(rule, delta.map(|(i, _)| i));
+        let rel = delta.map(|(_, r)| r);
+        plan.for_each_derivation(db, rel, seed, &mut MatchScratch::new(), |h, p, n| {
             compiled.push((h.to_string(), p.len(), n.len()));
             true
         });
@@ -333,10 +307,16 @@ mod tests {
     fn all_heads(db: &Database, rule: &str) -> Vec<String> {
         let rule = Rule::parse(rule).unwrap();
         let mut out = Vec::new();
-        for_each_match(db, &rule, None, |h, _, _| {
-            out.push(h.to_string());
-            true
-        });
+        CompiledPlan::compile(&rule, None).for_each_head(
+            db,
+            None,
+            &[],
+            &mut MatchScratch::new(),
+            |h| {
+                out.push(h.to_string());
+                true
+            },
+        );
         out.sort();
         out.dedup();
         out
@@ -448,11 +428,23 @@ mod tests {
         let dbase = db("e(1). e(2). e(3).");
         let rule = Rule::parse("p(X) :- e(X).").unwrap();
         let mut count = 0;
-        for_each_match(&dbase, &rule, None, |_, _, _| {
+        CompiledPlan::compile(&rule, None).for_each_head(
+            &dbase,
+            None,
+            &[],
+            &mut MatchScratch::new(),
+            |_| {
+                count += 1;
+                false
+            },
+        );
+        assert_eq!(count, 1, "[compiled]");
+        let mut count = 0;
+        for_each_match_interpreted(&dbase, &rule, None, &[], |_, _, _| {
             count += 1;
             false
         });
-        assert_eq!(count, 1);
+        assert_eq!(count, 1, "[interpreted]");
     }
 
     #[test]

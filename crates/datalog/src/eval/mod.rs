@@ -1,6 +1,8 @@
 //! Bottom-up evaluation.
 //!
-//! Three saturation engines share one [`matcher`]:
+//! Three saturation engines share one compiled matcher ([`plan`];
+//! [`matcher`] keeps the interpreted reference it is tested against), and
+//! each runs sequentially on the calling thread:
 //!
 //! * [`naive`] — repeated full rule application until fixpoint, reporting
 //!   **every derivation** (ground rule instance) to a [`DerivationSink`].
@@ -15,11 +17,6 @@
 //!   engine: re-derivation of removed facts plus delta firing on both added
 //!   tuples (positive positions) and removed tuples (negative positions).
 //!
-//! [`par`] layers per-stratum **parallel** counterparts over [`seminaive`]
-//! and [`incremental`]: each round's delta is sharded across scoped worker
-//! threads and the per-shard outputs merged deterministically, producing
-//! results bit-identical to the sequential modules at any thread count.
-//!
 //! [`backchain`] is the odd one out: a *top-down* membership test (negation
 //! as failure + loop checking) over the grounded program — the paper's §2
 //! Theorem vi interpreter, i.e. the implicit-representation query path.
@@ -28,7 +25,6 @@ pub mod backchain;
 pub mod incremental;
 pub mod matcher;
 pub mod naive;
-pub mod par;
 pub mod plan;
 pub mod seminaive;
 

@@ -338,7 +338,7 @@ impl CompiledPlan {
     /// Enumerates full derivations: `f(head, pos_body, neg_body)` with the
     /// ground positive body in evaluation order and the ground negative
     /// body in body order — the contract of
-    /// [`super::matcher::for_each_match_seeded`].
+    /// [`super::matcher::for_each_match_interpreted`].
     pub fn for_each_derivation<S, F>(
         &self,
         db: &S,

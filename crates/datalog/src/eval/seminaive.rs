@@ -51,31 +51,12 @@ pub fn saturate<S: NewFactSink>(
     stats: &mut DeltaStats,
 ) -> Vec<Fact> {
     let mut scratch = MatchScratch::new();
-    let delta = full_round(db, rules, sink, stats, &mut scratch);
-    let mut added = delta.clone();
-    drive_with(db, rules, delta, sink, stats, &mut added, &mut scratch);
-    added
-}
-
-/// The initial full round: fires every rule once over the whole database
-/// (covering rules with no positive hypotheses, whose value cannot change
-/// afterwards within the stratum) and returns the facts added — the first
-/// increase. Rules fire in order with immediate insertion, so each rule
-/// sees its predecessors' new facts. Shared with [`super::par`], whose
-/// first round must match this one exactly.
-pub(crate) fn full_round<S: NewFactSink>(
-    db: &mut Database,
-    rules: &[CompiledRule],
-    sink: &mut S,
-    stats: &mut DeltaStats,
-    scratch: &mut MatchScratch,
-) -> Vec<Fact> {
     let mut delta: Vec<Fact> = Vec::new();
     for cr in rules {
         stats.firings += 1;
         let rid = cr.id();
         let mut out: Vec<Fact> = Vec::new();
-        cr.plan().for_each_head(db, None, &[], scratch, |head| {
+        cr.plan().for_each_head(db, None, &[], &mut scratch, |head| {
             if db.contains(&head) {
                 sink.on_existing_fact(rid, &head);
             } else {
@@ -90,24 +71,14 @@ pub(crate) fn full_round<S: NewFactSink>(
             }
         }
     }
-    delta
+    let mut added = delta.clone();
+    drive(db, rules, delta, sink, stats, &mut added, &mut scratch);
+    added
 }
 
-/// Runs delta rounds from an initial increase until all increases are empty.
+/// Runs delta rounds from an initial increase until all increases are
+/// empty, reusing the caller's scratch buffers.
 pub(crate) fn drive<S: NewFactSink>(
-    db: &mut Database,
-    rules: &[CompiledRule],
-    delta: Vec<Fact>,
-    sink: &mut S,
-    stats: &mut DeltaStats,
-    added: &mut Vec<Fact>,
-) {
-    drive_with(db, rules, delta, sink, stats, added, &mut MatchScratch::new());
-}
-
-/// [`drive`] with caller-owned scratch buffers (saturation reuses the ones
-/// warmed by its first full round).
-pub(crate) fn drive_with<S: NewFactSink>(
     db: &mut Database,
     rules: &[CompiledRule],
     mut delta: Vec<Fact>,
@@ -214,7 +185,9 @@ mod tests {
         db.insert(Fact::parse("p(1, 2)").unwrap());
         let seed = vec![Fact::parse("p(1, 2)").unwrap()];
         let mut added = Vec::new();
-        drive(&mut db, &rules, seed, &mut NullNewFact, &mut Default::default(), &mut added);
+        let mut scratch = MatchScratch::new();
+        let mut stats = DeltaStats::default();
+        drive(&mut db, &rules, seed, &mut NullNewFact, &mut stats, &mut added, &mut scratch);
         assert!(db.contains_parsed("p(1, 3)"));
         assert!(db.contains_parsed("p(1, 4)"));
         assert_eq!(added.len(), 2);

@@ -56,7 +56,6 @@ pub mod wire;
 
 pub use atom::{Atom, Fact};
 pub use error::{DatalogError, ParseError, SafetyError, StratificationError};
-pub use eval::par::Parallelism;
 pub use graph::{DepGraph, RelIndex, Stratification};
 pub use literal::Literal;
 pub use program::{Program, RuleId};

@@ -18,11 +18,8 @@
 //! :program            print the current program
 //! :stats              statistics of the last update
 //! :strategy <name>    switch engine (recompute | static | dynamic-single |
-//!                     dynamic-multi | cascade | fact-level |
-//!                     cascade-parallel | recompute-parallel)
+//!                     dynamic-multi | cascade | fact-level)
 //! :strategies         list the registered engines (from the EngineRegistry)
-//! :threads <n>        worker threads for parallel saturation (the engine
-//!                     must support it — see cascade-parallel)
 //! :open <path>        make the session durable: WAL + snapshots at <path>
 //!                     (recovers the stored state if the path already holds one)
 //! :save <path>        export the current program as text
@@ -46,9 +43,7 @@ use std::sync::Arc;
 use stratamaint::core::constraints::{Constraint, GuardedEngine};
 use stratamaint::core::explain::Explainer;
 use stratamaint::core::registry::EngineRegistry;
-use stratamaint::core::{
-    EngineBox, MaintenanceEngine, Parallelism, StorageSpec, Update, UpdateStats,
-};
+use stratamaint::core::{EngineBox, MaintenanceEngine, StorageSpec, Update, UpdateStats};
 use stratamaint::datalog::{Fact, Program, Query, Rule};
 use stratamaint::service::net::{Client, QueryReply, ServerHandle};
 use stratamaint::service::{net, IngestConfig, Service};
@@ -67,7 +62,6 @@ enum Command {
     ProgramText,
     Stats,
     Strategy(String),
-    Threads(usize),
     Open(String),
     Save(String),
     Compact,
@@ -119,10 +113,6 @@ fn parse_command(line: &str) -> Result<Command, String> {
                 Ok(Command::Strategy(name.to_string()))
             }
         }
-        ":threads" => match line[8..].trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Command::Threads(n)),
-            _ => Err("usage: :threads <n>  (n >= 1)".into()),
-        },
         ":open" => {
             let path = line[5..].trim();
             if path.is_empty() {
@@ -220,9 +210,6 @@ struct Repl {
     /// Directory of the durable store, once `:open` has been issued.
     /// `:strategy` reopens the store under the new engine when set.
     durable_path: Option<String>,
-    /// Worker count requested with `:threads`, re-applied after every
-    /// engine switch so the session setting is sticky.
-    threads: Option<Parallelism>,
     last_stats: Option<UpdateStats>,
     /// Ingest servers started with `:serve`, kept alive for the session.
     servers: Vec<(Arc<Service>, ServerHandle)>,
@@ -239,7 +226,6 @@ impl Repl {
             registry,
             engine: GuardedEngine::unconstrained(engine),
             durable_path: None,
-            threads: None,
             last_stats: None,
             servers: Vec::new(),
             remote: None,
@@ -340,28 +326,11 @@ impl Repl {
                 // recovered program is replayed under the new strategy (all
                 // strategies agree on the model, so this is sound).
                 match self.build_engine(&name, self.engine.program().clone()) {
-                    Ok(mut engine) => {
-                        if let Some(par) = self.threads {
-                            engine.set_parallelism(par);
-                        }
+                    Ok(engine) => {
                         self.engine.replace_inner(engine);
                         writeln!(out, "  strategy: {}", self.engine.inner().name())?;
                     }
                     Err(e) => writeln!(out, "  error: {e}")?,
-                }
-            }
-            Command::Threads(n) => {
-                let par = Parallelism::new(n);
-                self.threads = Some(par);
-                if self.engine.inner_mut().set_parallelism(par) {
-                    writeln!(out, "  threads: {n}")?;
-                } else {
-                    writeln!(
-                        out,
-                        "  threads: {n} (noted; strategy `{}` saturates sequentially — try \
-                         :strategy cascade-parallel)",
-                        self.engine.inner().name()
-                    )?;
                 }
             }
             Command::Open(path) => {
@@ -369,10 +338,7 @@ impl Repl {
                 let program = self.engine.program().clone();
                 let storage = StorageSpec::wal(&path);
                 match self.registry.build_with_storage(&name, program, &storage) {
-                    Ok(mut engine) => {
-                        if let Some(par) = self.threads {
-                            engine.set_parallelism(par);
-                        }
+                    Ok(engine) => {
                         self.engine.replace_inner(engine);
                         self.durable_path = Some(path.clone());
                         let recovered = self
@@ -413,10 +379,7 @@ impl Repl {
                 // (drive it with :connect or the strata-serve client).
                 let name = self.engine.inner().name();
                 match self.registry.build(name, self.engine.program().clone()) {
-                    Ok(mut engine) => {
-                        if let Some(par) = self.threads {
-                            engine.set_parallelism(par);
-                        }
+                    Ok(engine) => {
                         let service = Arc::new(Service::start(engine, IngestConfig::default()));
                         match net::serve(Arc::clone(&service), &addr) {
                             Ok(handle) => {
@@ -647,7 +610,7 @@ const HELP: &str = "  + <fact|rule>     insert        - <fact|rule>   delete
   ? <query>         query         :why <fact>     proof tree
   :constrain <body> add denial    :constraints    list denials
   :model  :program  :stats        :strategy <name>
-  :strategies       list engines  :threads <n>    parallel saturation workers
+  :strategies       list engines
   :open <path>      durable (WAL) :save <path>    text export
   :compact          snapshot + empty WAL
   :serve <addr>     TCP ingest server over the current program
@@ -830,36 +793,6 @@ mod tests {
         assert!(out.contains("violates"), "constraints survive the switch: {out}");
         let out = run(&mut repl, ":strategy nonsense");
         assert!(out.contains("unknown strategy"));
-    }
-
-    #[test]
-    fn parses_threads_command() {
-        assert!(matches!(parse_command(":threads 4").unwrap(), Command::Threads(4)));
-        assert!(matches!(parse_command(":threads 1").unwrap(), Command::Threads(1)));
-        assert!(parse_command(":threads").is_err());
-        assert!(parse_command(":threads 0").is_err());
-        assert!(parse_command(":threads lots").is_err());
-    }
-
-    #[test]
-    fn session_threads_follow_the_engine() {
-        let mut repl = pods_repl();
-        // The cascade engine honors the knob directly.
-        let out = run(&mut repl, ":threads 4");
-        assert!(out.contains("threads: 4") && !out.contains("sequentially"), "{out}");
-        // Strategies without a parallel saturation path note it instead.
-        run(&mut repl, ":strategy static");
-        let out = run(&mut repl, ":threads 4");
-        assert!(out.contains("sequentially"), "{out}");
-        // Switching to the parallel strategy re-applies the sticky setting,
-        // and the engine keeps answering correctly.
-        let out = run(&mut repl, ":strategy cascade-parallel");
-        assert!(out.contains("cascade-parallel"), "{out}");
-        assert!(run(&mut repl, "? rejected(1)").contains("true"));
-        let out = run(&mut repl, ":threads 2");
-        assert!(out.contains("threads: 2") && !out.contains("sequentially"), "{out}");
-        run(&mut repl, "+ accepted(1)");
-        assert!(run(&mut repl, "? rejected(1)").contains("false"));
     }
 
     #[test]

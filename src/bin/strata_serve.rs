@@ -8,10 +8,12 @@
 //!
 //! ```text
 //! strata-serve 127.0.0.1:7171 --strategy cascade --store ./db \
-//!              --program seed.strata --group 64 --delay-ms 2 --threads 4
+//!              --program seed.strata --group 64 --delay-ms 2
 //! ```
 //!
-//! * `--strategy <name>`   any registered strategy (default `cascade`)
+//! * `--strategy <name>`   any registered strategy: `recompute`, `static`,
+//!   `dynamic-single`, `dynamic-multi`, `cascade` (the default) or
+//!   `fact-level`
 //! * `--store <dir>`       durable WAL + snapshot chain (default in-memory).
 //!   A durable server gets the production storage profile unless
 //!   overridden: auto-compaction (`compact=auto`), incremental
@@ -27,7 +29,6 @@
 //! * `--group <n>`         group-size watermark (default 64)
 //! * `--delay-ms <n>`      latency watermark in milliseconds (default 2)
 //! * `--max-pending <n>`   backpressure bound (default 8192)
-//! * `--threads <n>`       worker threads for parallel saturation
 //! * `--slow-group-ms <n>` log any group whose cut-to-publish time exceeds
 //!   `n` milliseconds to stderr, with its full per-stage span breakdown
 //! * `--fault-plan <spec>` deterministic fault injection for chaos drills
@@ -74,8 +75,7 @@ use std::time::Duration;
 use stratamaint::core::durable::DEFAULT_MAX_CHAIN;
 use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{
-    FaultPlan, MaintenanceEngine, MaintenanceError, Parallelism, ReplayMode, SnapshotMode,
-    StorageSpec, WalSpec,
+    FaultPlan, MaintenanceEngine, MaintenanceError, ReplayMode, SnapshotMode, StorageSpec, WalSpec,
 };
 use stratamaint::datalog::Program;
 use stratamaint::service::{
@@ -92,7 +92,6 @@ struct Args {
     replay: Option<ReplayMode>,
     program: Option<String>,
     cfg: IngestConfig,
-    threads: Option<usize>,
     slow_group_ms: Option<u64>,
     fault_plan: Option<FaultPlan>,
     data_root: Option<String>,
@@ -150,7 +149,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         replay: None,
         program: None,
         cfg: IngestConfig::default(),
-        threads: None,
         slow_group_ms: None,
         fault_plan: None,
         data_root: None,
@@ -193,10 +191,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 out.cfg.max_pending =
                     value("--max-pending")?.parse().map_err(|e| format!("--max-pending: {e}"))?;
             }
-            "--threads" => {
-                out.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
             "--slow-group-ms" => {
                 out.slow_group_ms = Some(
                     value("--slow-group-ms")?
@@ -234,7 +228,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             return Err("usage: strata-serve <addr> [--strategy NAME] [--store DIR] \
                         [--compact POLICY] [--snapshot MODE] [--replay MODE] \
                         [--program FILE] [--group N] [--delay-ms N] [--max-pending N] \
-                        [--threads N] [--slow-group-ms N] [--fault-plan SPEC] \
+                        [--slow-group-ms N] [--fault-plan SPEC] \
                         [--data-root DIR] [--db NAME[,NAME...]] [--shards N] \
                         [--worker-budget N]"
                 .into())
@@ -257,11 +251,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     }
     if !out.dbs.is_empty() && out.data_root.is_none() {
         eprintln!("note: --db without --data-root keeps the named databases in memory");
-    }
-    if out.threads.is_some() && out.cluster_mode() {
-        return Err("--threads applies to the single-database server; \
-                    use --shards/--worker-budget for cluster parallelism"
-            .into());
     }
     Ok(out)
 }
@@ -322,12 +311,9 @@ fn run(args: Args) -> Result<(), String> {
     // first build.
     let seed = storage.is_durable().then(|| Arc::new(program.clone()));
     let registry = EngineRegistry::standard();
-    let mut engine = registry
+    let engine = registry
         .build_with_storage_faults(&args.strategy, program, &storage, faults.clone())
         .map_err(|e| e.to_string())?;
-    if let Some(n) = args.threads {
-        engine.set_parallelism(Parallelism::new(n));
-    }
     if let Some(d) = engine.durability() {
         eprintln!(
             "recovered {} transactions ({} updates) in {} ms ({} replay, chain {}) from {}",
@@ -356,15 +342,10 @@ fn run(args: Args) -> Result<(), String> {
         let strategy = args.strategy.clone();
         let storage = storage.clone();
         let faults = faults.clone();
-        let threads = args.threads;
         Arc::new(move || {
-            let mut engine = EngineRegistry::standard()
+            EngineRegistry::standard()
                 .build_with_storage_faults(&strategy, (*seed).clone(), &storage, faults.clone())
-                .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))?;
-            if let Some(n) = threads {
-                engine.set_parallelism(Parallelism::new(n));
-            }
-            Ok(engine)
+                .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))
         })
     });
     let service = Arc::new(Service::start_supervised(
@@ -510,7 +491,7 @@ mod tests {
         let a = args(&[
             "127.0.0.1:7171",
             "--strategy",
-            "cascade-parallel",
+            "fact-level",
             "--store",
             "/tmp/db",
             "--group",
@@ -519,19 +500,16 @@ mod tests {
             "5",
             "--max-pending",
             "256",
-            "--threads",
-            "4",
             "--slow-group-ms",
             "25",
         ])
         .unwrap();
         assert_eq!(a.addr, "127.0.0.1:7171");
-        assert_eq!(a.strategy, "cascade-parallel");
+        assert_eq!(a.strategy, "fact-level");
         assert_eq!(a.store.as_deref(), Some("/tmp/db"));
         assert_eq!(a.cfg.max_group, 128);
         assert_eq!(a.cfg.max_delay, Duration::from_millis(5));
         assert_eq!(a.cfg.max_pending, 256);
-        assert_eq!(a.threads, Some(4));
         assert_eq!(a.slow_group_ms, Some(25));
     }
 
@@ -635,19 +613,20 @@ mod tests {
         assert!(!args(&["x:0"]).unwrap().cluster_mode());
         assert!(args(&["x:0", "--shards", "0"]).is_err());
         assert!(args(&["x:0", "--worker-budget", "0"]).is_err());
-        assert!(args(&["x:0", "--shards", "2", "--threads", "4"]).is_err());
     }
 
     #[test]
     fn defaults_and_errors() {
         let a = args(&["0.0.0.0:0"]).unwrap();
         assert_eq!(a.strategy, "cascade");
-        assert!(a.store.is_none() && a.program.is_none() && a.threads.is_none());
+        assert!(a.store.is_none() && a.program.is_none());
         assert!(a.slow_group_ms.is_none());
         assert!(args(&[]).is_err(), "address is required");
         assert!(args(&["a", "b"]).is_err(), "one address only");
         assert!(args(&["x", "--group"]).is_err(), "flag needs a value");
         assert!(args(&["x", "--frob"]).is_err(), "unknown flag");
+        let Err(err) = args(&["x", "--threads", "4"]) else { panic!("--threads is gone") };
+        assert!(err.contains("unknown flag --threads"), "{err}");
         assert!(args(&["x", "--group", "0"]).is_err(), "zero group");
         assert!(args(&["x", "--group", "10", "--max-pending", "5"]).is_err());
         assert!(args(&["x", "--slow-group-ms", "soon"]).is_err(), "numeric only");

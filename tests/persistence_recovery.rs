@@ -12,10 +12,10 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use stratamaint::core::durable::{DurableEngine, EngineCtor, ReplayMode, SnapshotMode, WalSpec};
-use stratamaint::core::registry::EngineRegistry;
-use stratamaint::core::{MaintenanceEngine, SupportDump, Update};
+use stratamaint::core::registry::{EngineRegistry, RegistryError};
+use stratamaint::core::{MaintenanceEngine, StorageSpec, SupportDump, Update};
 use stratamaint::datalog::{Fact, Program, Rule};
-use stratamaint::store::{Durability, SNAPSHOT_FILE, WAL_FILE};
+use stratamaint::store::{DeltaSnapshot, Durability, Snapshot, SNAPSHOT_FILE, WAL_FILE};
 use stratamaint::workload::script::{random_fact_script, ScriptConfig};
 use stratamaint::workload::synth::{self, RandomConfig};
 
@@ -342,6 +342,73 @@ fn parent_written_store_opens_and_is_rewritten_byte_for_byte() {
     }
     let _ = std::fs::remove_dir_all(&ours);
     let _ = std::fs::remove_dir_all(&theirs);
+}
+
+/// A store written by a strategy the registry no longer has:
+/// `tests/fixtures/removed_strategy_store` is `write_fixture_history` run
+/// under the removed strategy `REMOVED` by the last commit that had it, so
+/// that name is the `meta` of its base snapshot and of its delta link. The
+/// WAL carries no strategy name, so `parent_store`'s WAL is this store's
+/// too. Recovery never reads `meta`: the store opens under `cascade` in
+/// both replay modes. The removed name itself is refused at build, before
+/// the store is touched.
+#[test]
+fn store_written_by_a_removed_strategy_opens_under_cascade() {
+    const REMOVED: &str = "cascade-parallel";
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = scratch("removed_strategy");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (fixture, name) in [
+        ("removed_strategy_store", SNAPSHOT_FILE),
+        ("removed_strategy_store", "snapshot.delta-1"),
+        ("parent_store", WAL_FILE),
+    ] {
+        std::fs::copy(fixtures.join(fixture).join(format!("{name}.bin")), dir.join(name)).unwrap();
+    }
+    let base = Snapshot::read(&dir.join(SNAPSHOT_FILE)).unwrap().expect("base snapshot");
+    let link = DeltaSnapshot::read(&dir.join("snapshot.delta-1")).unwrap().expect("delta link");
+    assert_eq!([base.meta.as_str(), link.meta.as_str()], [REMOVED; 2]);
+
+    let registry = EngineRegistry::standard();
+    let storage = |replay| {
+        let mut spec = WalSpec::new(&dir);
+        spec.replay = replay;
+        StorageSpec::Wal(spec)
+    };
+    match registry.build_with_storage(REMOVED, Program::new(), &storage(ReplayMode::Bulk)) {
+        Err(RegistryError::UnknownStrategy { name, known }) => {
+            assert_eq!(name, REMOVED);
+            assert_eq!(
+                known,
+                ["recompute", "static", "dynamic-single", "dynamic-multi", "cascade", "fact-level"]
+            );
+        }
+        Err(e) => panic!("expected UnknownStrategy, got {e}"),
+        Ok(_) => panic!("the removed strategy name must not build"),
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        3,
+        "the refused build left the store alone"
+    );
+
+    let ours = scratch("removed_strategy_ours");
+    let live = write_fixture_history(&ours);
+    let expected = (live.model().sorted_facts(), live.program().num_facts());
+    drop(live);
+    for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
+        let e = registry.build_with_storage("cascade", Program::new(), &storage(replay)).unwrap();
+        assert_eq!(e.name(), "cascade");
+        let d = e.durability().unwrap();
+        assert_eq!((d.snapshot_chain_len, d.recovered_txns), (1, 2), "{replay} replay");
+        assert_eq!(
+            (e.model().sorted_facts(), e.program().num_facts()),
+            expected,
+            "{replay} replay"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&ours);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -21,11 +21,7 @@ fn engines(program: &stratamaint::datalog::Program) -> Vec<EngineBox> {
         |p| {
             Ok(Box::new(CascadeEngine::with_config(
                 p,
-                CascadeConfig {
-                    skip_unaffected: false,
-                    presaturate: false,
-                    ..CascadeConfig::default()
-                },
+                CascadeConfig { skip_unaffected: false, presaturate: false },
             )?))
         },
     );

@@ -5,8 +5,7 @@
 //!
 //! This file is its own test binary with a single test, so nothing else in
 //! the process interns while it runs — which is what lets it check that ids
-//! are dense. `STRATA_THREADS` sets the number of reader threads and of
-//! writer threads (CI runs it at 1, 2 and 8).
+//! are dense. [`THREADS`] readers race [`THREADS`] writers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -17,14 +16,12 @@ use stratamaint::datalog::{Fact, Symbol, Value};
 const FRESH: usize = 72_000;
 /// Names every writer interns, racing the others for the id.
 const SHARED: usize = 500;
-
-fn threads() -> usize {
-    std::env::var("STRATA_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4).clamp(1, 16)
-}
+/// Reader threads, and separately writer threads.
+const THREADS: usize = 4;
 
 #[test]
 fn readers_resolve_published_symbols_while_writers_intern_across_buckets() {
-    let n = threads();
+    let n = THREADS;
     // Published before any thread starts: what the readers resolve.
     let published: Vec<(Symbol, String)> = (0..512)
         .map(|i| {
