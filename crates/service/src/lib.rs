@@ -31,11 +31,15 @@
 //!   one WAL transaction and **one fsync per group** (group commit) — and
 //!   routes per-request decisions back through completion handles
 //!   ([`queue::SubmitHandle`]).
-//! * [`net`] — a `std::net` TCP front-end speaking the line protocol of
-//!   [`protocol`] (`submit` / `query` / `flush` / `stats` / `quit`) over
-//!   the existing `Display`/parse round-trip — with optional request tags
-//!   for pipelined, out-of-order responses on one connection — plus the
-//!   matching blocking [`net::Client`].
+//! * [`shard::ShardedDb`] and [`tenant::Cluster`] — a database is one or
+//!   more services split along the rule dependency components, and a
+//!   cluster is the registry of named databases one server fronts.
+//! * [`net`] — a `std::net` TCP front-end serving a [`tenant::Cluster`]
+//!   over the line protocol of [`protocol`] (`submit` / `query` / `flush`
+//!   / `stats` / `use` / `quit` …) and the existing `Display`/parse
+//!   round-trip — with optional request tags for pipelined, out-of-order
+//!   responses on one connection — plus the matching blocking
+//!   [`net::Client`].
 //!
 //! ## The snapshot consistency guarantee (MVCC reads)
 //!
@@ -80,9 +84,10 @@
 //!
 //! ## Failure guarantees (the supervised service)
 //!
-//! Started via [`service::Service::start_supervised`], the worker is a
-//! supervision loop, and the service makes these promises under faults
-//! (worker panics, WAL write/fsync failures, storage corruption):
+//! Started via [`service::Service::start_supervised`] — as every shard of
+//! a served database is — the worker is a supervision loop, and the
+//! service makes these promises under faults (worker panics, WAL
+//! write/fsync failures, storage corruption):
 //!
 //! * **A failure costs exactly the in-flight group.** Each group commits
 //!   under `catch_unwind`; a panic or storage error rejects every
@@ -116,8 +121,11 @@
 //!   ambiguous failure verbatim: the per-client dedup window
 //!   ([`IngestConfig::dedup_window`]) replays decided outcomes instead of
 //!   re-applying updates, and re-executes only decided *retryable*
-//!   rejections. [`net::RetryClient`] packages this loop (reconnect,
-//!   exponential backoff, jitter).
+//!   rejections. That holds for rule updates too: a flat database's rules
+//!   go through its worker's window, and a sharded database keeps a
+//!   window of rule-barrier outcomes at its router
+//!   ([`shard::ShardedDb::submit_dedup`]). [`net::RetryClient`] packages
+//!   this loop (reconnect, exponential backoff, jitter).
 //!
 //! All of this is exercised by `tests/service_chaos.rs` (seed ×
 //! fault-point matrix over the real WAL with kill-and-reopen oracles) and
@@ -141,8 +149,11 @@
 //! (panic caught, heal attempt, healed, read-only enter/exit) plus
 //! restart/backoff metrics. The wire surface is the `metrics` verb
 //! (Prometheus text exposition) and the `trace <n>` verb (recent sealed
-//! spans); [`service::Service::fill_registry`] syncs the service-level
-//! gauges so `metrics` and `stats` always agree.
+//! spans). Before each render, [`tenant::Cluster::fill_registry`] syncs
+//! the unlabeled service-level gauges from the default database's
+//! aggregated stats ([`service::ServiceStats::fill_registry`]), so
+//! `metrics` and a default-bound `stats` always agree, and then every
+//! database's `{db="…",shard="…"}` gauges.
 //!
 //! ```
 //! use strata_core::registry::EngineRegistry;

@@ -2,17 +2,14 @@
 //!
 //! [`serve`] binds a listener and spawns one acceptor thread plus threads
 //! per connection; every connection speaks the [`crate::protocol`] line
-//! protocol against a shared [`Service`]. Group commit happens across
-//! connections: ten clients submitting concurrently land in the same
-//! coalescing queue and share fsyncs.
-//!
-//! [`serve_cluster`] is the multi-tenant flavor of the same front-end: it
-//! serves a [`Cluster`] of named databases instead of one [`Service`].
-//! Each connection is bound to one database at a time — [`DEFAULT_DB`]
-//! until it issues `use <db>` — and `db create|list|drop` manage the
-//! registry. Submits route through the bound database's shard router, so
-//! a multi-shard tenant commits disjoint strata in parallel while the
-//! wire surface stays the single-database protocol.
+//! protocol against a shared [`Cluster`] of named databases. Each
+//! connection is bound to one database at a time — [`DEFAULT_DB`] until it
+//! issues `use <db>` — and `db create|list|drop` manage the registry.
+//! Submits route through the bound database's shard router: an unsharded
+//! database is one coalescing queue, so ten clients submitting
+//! concurrently share group commits and fsyncs, and a multi-shard
+//! database commits disjoint strata in parallel behind the same wire
+//! surface.
 //!
 //! ## Pipelining
 //!
@@ -81,14 +78,13 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use strata_core::{MaintenanceError, Update};
+use strata_core::Update;
 use strata_datalog::query::write_row;
 use strata_datalog::RelSource;
 
 use crate::protocol::{self, Request};
-use crate::queue::{Outcome, SubmitHandle};
-use crate::service::Service;
-use crate::shard::{ShardHandle, ShardedDb};
+use crate::queue::Outcome;
+use crate::shard::{DbFlush, ShardHandle, ShardedDb};
 use crate::tenant::{Cluster, DEFAULT_DB};
 
 /// A latched one-way signal: any connection's `shutdown` verb (or the
@@ -180,33 +176,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// What the listener hands each connection: one database, or the whole
-/// tenant registry.
-#[derive(Clone)]
-enum Backend {
-    /// The classic single-database server.
-    Single(Arc<Service>),
-    /// A multi-tenant server; connections start bound to [`DEFAULT_DB`]
-    /// and rebind with `use <db>`.
-    Cluster(Arc<Cluster>),
-}
-
 /// Binds `addr` (e.g. `127.0.0.1:7171`, or port `0` for an ephemeral one)
-/// and serves `service` until the handle is stopped or dropped.
-pub fn serve(service: Arc<Service>, addr: &str) -> io::Result<ServerHandle> {
-    serve_backend(Backend::Single(service), addr)
-}
-
-/// Binds `addr` and serves a whole [`Cluster`]: every connection starts
-/// bound to the `default` database, rebinds with `use <db>`, and manages
-/// tenants with `db create|list|drop`. A connection's binding holds its
-/// database open, so `db drop` refuses a database any connection is still
-/// using.
-pub fn serve_cluster(cluster: Arc<Cluster>, addr: &str) -> io::Result<ServerHandle> {
-    serve_backend(Backend::Cluster(cluster), addr)
-}
-
-fn serve_backend(backend: Backend, addr: &str) -> io::Result<ServerHandle> {
+/// and serves `cluster` until the handle is stopped or dropped: every
+/// connection starts bound to the `default` database, rebinds with
+/// `use <db>`, and manages tenants with `db create|list|drop`. A
+/// connection's binding holds its database open, so `db drop` refuses a
+/// database any connection is still using.
+pub fn serve(cluster: Arc<Cluster>, addr: &str) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -220,43 +196,25 @@ fn serve_backend(backend: Backend, addr: &str) -> io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let backend = backend.clone();
+                let cluster = Arc::clone(&cluster);
                 let shutdown_requests = Arc::clone(&shutdown_requests);
                 let _ = std::thread::Builder::new()
                     .name("strata-conn".into())
-                    .spawn(move || serve_connection(stream, backend, &shutdown_requests));
+                    .spawn(move || serve_connection(stream, cluster, &shutdown_requests));
             }
         })?
     };
     Ok(ServerHandle { addr, shutdown, shutdown_requests, acceptor: Some(acceptor) })
 }
 
-/// A pending submit decision from either front-end flavor.
-enum AnyHandle {
-    /// Straight from a single service's queue.
-    Direct(SubmitHandle),
-    /// Routed through a sharded database (version already re-encoded).
-    Routed(ShardHandle),
-}
-
-impl AnyHandle {
-    fn wait(&self) -> Outcome {
-        match self {
-            AnyHandle::Direct(h) => h.wait(),
-            AnyHandle::Routed(h) => h.wait(),
-        }
-    }
-}
-
 /// One unit of response work, in request-arrival order.
 enum Job {
-    /// Park on a submit/flush handle; render and emit its ack when the
-    /// worker decides it. `flush` switches the ack's surface form.
-    Wait { tag: Option<String>, handle: AnyHandle, flush: bool },
-    /// Barrier-flush a sharded database (every shard) and ack with the
-    /// composite watermark. Runs on the completion thread so the reader
-    /// keeps pipelining behind it.
-    FlushDb { tag: Option<String>, db: Arc<ShardedDb> },
+    /// Park on a submit handle; render and emit its ack when the worker
+    /// (or the shard router) decides it.
+    Wait { tag: Option<String>, handle: ShardHandle },
+    /// Wait out a database flush (a barrier queued on every shard when
+    /// the request was read) and ack with the composite watermark.
+    FlushDb { tag: Option<String>, flush: DbFlush },
     /// An already-rendered response (untagged query/stats/parse errors):
     /// emitted here to stay behind earlier untagged acks.
     Ready(Response),
@@ -344,87 +302,37 @@ fn render_listing<T: fmt::Display>(
     out
 }
 
-/// What this connection's requests currently run against: the single
-/// service of a classic server, or the database a cluster connection is
-/// bound to. The held [`Arc<ShardedDb>`] keeps the binding's database
-/// alive — [`Cluster::drop_db`] counts it as "in use".
-enum Bound {
-    Single(Arc<Service>),
-    Db { name: String, db: Arc<ShardedDb> },
+/// The database this connection's requests currently run against:
+/// [`DEFAULT_DB`] until the connection issues `use <db>`. The held
+/// [`Arc<ShardedDb>`] keeps it alive — [`Cluster::drop_db`] counts it as
+/// "in use".
+struct Bound {
+    name: String,
+    db: Arc<ShardedDb>,
 }
 
 impl Bound {
-    fn submit(&self, update: Update) -> AnyHandle {
-        match self {
-            Bound::Single(s) => AnyHandle::Direct(s.submit(update)),
-            Bound::Db { db, .. } => AnyHandle::Routed(db.submit(update)),
-        }
-    }
-
-    fn submit_dedup(&self, client: &str, seq: u64, update: Update) -> AnyHandle {
-        match self {
-            Bound::Single(s) => AnyHandle::Direct(s.submit_dedup(client, seq, update)),
-            Bound::Db { db, .. } => AnyHandle::Routed(db.submit_dedup(client, seq, update)),
-        }
-    }
-
-    fn flush_job(&self, tag: Option<String>) -> Job {
-        match self {
-            Bound::Single(s) => {
-                Job::Wait { tag, handle: AnyHandle::Direct(s.submit_flush()), flush: true }
-            }
-            Bound::Db { db, .. } => Job::FlushDb { tag, db: Arc::clone(db) },
-        }
-    }
-
-    fn compact(&self) -> Result<Option<u64>, MaintenanceError> {
-        match self {
-            Bound::Single(s) => s.compact(),
-            Bound::Db { db, .. } => db.compact(),
-        }
-    }
-
-    fn stats_line(&self) -> String {
-        match self {
-            Bound::Single(s) => protocol::render_stats(&s.stats()),
-            Bound::Db { name, db } => protocol::render_stats_for(&db.stats(), name, db.shards()),
-        }
-    }
-
     fn query_response(
         &self,
         tag: Option<&str>,
         query: &strata_datalog::Query,
         at: Option<u64>,
     ) -> Response {
-        match self {
-            Bound::Single(service) => {
-                let snap = match at {
-                    None => service.snapshot(),
-                    Some(version) => match service.snapshot_at(version) {
-                        Ok(snap) => snap,
-                        Err(published) => return version_unpublished(tag, version, published),
-                    },
-                };
-                render_query(&snap.model, tag, query)
-            }
-            Bound::Db { db, .. } => {
-                let snap = match at {
-                    None => db.snapshot(),
-                    Some(version) => match db.snapshot_at(version) {
-                        Ok(snap) => snap,
-                        Err(published) => return version_unpublished(tag, version, published),
-                    },
-                };
-                render_query(&snap, tag, query)
-            }
+        let snap = match at {
+            None => self.db.snapshot(),
+            Some(version) => match self.db.snapshot_at(version) {
+                Ok(snap) => snap,
+                Err(published) => return version_unpublished(tag, version, published),
+            },
+        };
+        // Evaluation looks a relation up once per probe; a one-shard view
+        // answers from its model directly, skipping the scan over parts.
+        match snap.parts() {
+            [only] => render_query(&only.model, tag, query),
+            _ => render_query(&snap, tag, query),
         }
     }
 }
-
-/// The answer every `use`/`db` verb gets on a single-database server.
-const NO_CLUSTER: &str =
-    "err this is a single-database server: `use` and `db` need a cluster front-end";
 
 /// The writer stops adding queued responses to a burst once it holds
 /// this many bytes, so one `write` stays a bounded segment train and the
@@ -491,22 +399,13 @@ fn write_loop(mut stream: impl Write, responses: &mpsc::Receiver<Response>, obs:
 /// after the completion and writer threads have drained and exited.
 fn serve_connection(
     stream: TcpStream,
-    backend: Backend,
+    cluster: Arc<Cluster>,
     shutdown_requests: &ShutdownFlag,
 ) -> io::Result<()> {
     // A response is one `write` of whole lines; without NODELAY a second
     // small write would wait out the peer's delayed ACK (40 ms).
     stream.set_nodelay(true)?;
-    let cluster = match &backend {
-        Backend::Single(_) => None,
-        Backend::Cluster(c) => Some(Arc::clone(c)),
-    };
-    let mut bound = match backend {
-        Backend::Single(service) => Bound::Single(service),
-        Backend::Cluster(cluster) => {
-            Bound::Db { name: DEFAULT_DB.to_string(), db: cluster.default_db() }
-        }
-    };
+    let mut bound = Bound { name: DEFAULT_DB.to_string(), db: cluster.default_db() };
     let mut reader = BufReader::new(stream.try_clone()?);
     let (write_tx, write_rx) = mpsc::channel::<Response>();
     let (job_tx, job_rx) = mpsc::channel::<Job>();
@@ -522,10 +421,8 @@ fn serve_connection(
             while let Ok(job) = job_rx.recv() {
                 let done = matches!(job, Job::Quit(_));
                 let response = match job {
-                    Job::Wait { tag, handle, flush } => {
-                        render_ack(tag.as_deref(), &handle.wait(), flush)
-                    }
-                    Job::FlushDb { tag, db } => flushed(tag.as_deref(), db.flush()),
+                    Job::Wait { tag, handle } => render_ack(tag.as_deref(), &handle.wait(), false),
+                    Job::FlushDb { tag, flush } => flushed(tag.as_deref(), flush.wait()),
                     Job::Ready(response) | Job::Quit(response) => response,
                 };
                 if write_tx.send(response).is_err() || done {
@@ -560,10 +457,8 @@ fn serve_connection(
                 job_tx.send(Job::Ready(response)).map_err(|_| ())
             }
         };
-        let wait = |handle: AnyHandle| -> Result<(), ()> {
-            job_tx
-                .send(Job::Wait { tag: tag.map(str::to_string), handle, flush: false })
-                .map_err(|_| ())
+        let wait = |handle: ShardHandle| -> Result<(), ()> {
+            job_tx.send(Job::Wait { tag: tag.map(str::to_string), handle }).map_err(|_| ())
         };
         let sent = match protocol::parse_request(rest) {
             Err(e) => respond(reply(tag, format_args!("err {e}"))),
@@ -581,8 +476,8 @@ fn serve_connection(
                 // Blocks only on queue backpressure; the ack is delivered
                 // by the completion thread once the group commits.
                 match (seq, client_id.as_deref()) {
-                    (None, _) => wait(bound.submit(update)),
-                    (Some(seq), Some(client)) => wait(bound.submit_dedup(client, seq, update)),
+                    (None, _) => wait(bound.db.submit(update)),
+                    (Some(seq), Some(client)) => wait(bound.db.submit_dedup(client, seq, update)),
                     (Some(_), None) => respond(reply(
                         tag,
                         "err seq= requires a client id: send `client <id>` first",
@@ -598,24 +493,23 @@ fn serve_connection(
                 shutdown_requests.request();
                 respond(reply(tag, "ok shutting down"))
             }
-            Ok(Request::Flush) => {
-                job_tx.send(bound.flush_job(tag.map(str::to_string))).map_err(|_| ())
-            }
-            Ok(Request::Compact) => respond(match bound.compact() {
+            Ok(Request::Flush) => job_tx
+                .send(Job::FlushDb { tag: tag.map(str::to_string), flush: bound.db.submit_flush() })
+                .map_err(|_| ()),
+            Ok(Request::Compact) => respond(match bound.db.compact() {
                 Ok(Some(seq)) => reply(tag, format_args!("ok compacted seq={seq}")),
                 Ok(None) => reply(tag, "err nothing to compact: engine is in-memory"),
                 Err(e) => reply(tag, format_args!("err code={} {e}", e.code())),
             }),
-            Ok(Request::Stats) => respond(reply(tag, bound.stats_line())),
+            Ok(Request::Stats) => respond(reply(
+                tag,
+                protocol::render_stats_for(&bound.db.stats(), &bound.name, bound.db.shards()),
+            )),
             Ok(Request::Metrics) => {
                 // Sync the service-level gauges into the registry first so
-                // the exposition always agrees with the `stats` line. A
+                // the exposition always agrees with the `stats` line. The
                 // cluster syncs every tenant — the registry is global.
-                match (&cluster, &bound) {
-                    (Some(c), _) => c.fill_registry(),
-                    (None, Bound::Single(s)) => s.fill_registry(),
-                    (None, Bound::Db { .. }) => unreachable!("cluster bindings imply a cluster"),
-                }
+                cluster.fill_registry();
                 respond(render_listing(tag, strata_obs::render().lines()))
             }
             Ok(Request::Trace { n }) => {
@@ -623,45 +517,32 @@ fn serve_connection(
                 respond(render_listing(tag, spans.iter().map(|s| format!("span {}", s.render()))))
             }
             Ok(Request::Query { query, at }) => respond(bound.query_response(tag, &query, at)),
-            Ok(Request::Use { db }) => respond(match &cluster {
-                None => reply(tag, NO_CLUSTER),
-                Some(c) => match c.get(&db) {
-                    Some(handle) => {
-                        let response = reply(tag, format_args!("ok db={db}"));
-                        bound = Bound::Db { name: db, db: handle };
-                        response
-                    }
-                    None => reply(
-                        tag,
-                        format_args!(
-                            "err no database named {db} (create it with `db create {db}`)"
-                        ),
-                    ),
-                },
-            }),
-            Ok(Request::DbCreate { db }) => respond(match &cluster {
-                None => reply(tag, NO_CLUSTER),
-                Some(c) => match c.create(&db) {
-                    Ok(_) => reply(tag, format_args!("ok created db={db}")),
-                    Err(e) => reply(tag, format_args!("err {e}")),
-                },
-            }),
-            Ok(Request::DbDrop { db }) => respond(match &cluster {
-                None => reply(tag, NO_CLUSTER),
-                Some(c) => match c.drop_db(&db) {
-                    Ok(()) => reply(tag, format_args!("ok dropped db={db}")),
-                    Err(e) => reply(tag, format_args!("err {e}")),
-                },
-            }),
-            Ok(Request::DbList) => respond(match &cluster {
-                None => reply(tag, NO_CLUSTER),
-                Some(c) => render_listing(
+            Ok(Request::Use { db }) => respond(match cluster.get(&db) {
+                Some(handle) => {
+                    let response = reply(tag, format_args!("ok db={db}"));
+                    bound = Bound { name: db, db: handle };
+                    response
+                }
+                None => reply(
                     tag,
-                    c.list().iter().map(|i| {
-                        format!("db {} shards={} facts={}", i.name, i.shards, i.model_facts)
-                    }),
+                    format_args!("err no database named {db} (create it with `db create {db}`)"),
                 ),
             }),
+            Ok(Request::DbCreate { db }) => respond(match cluster.create(&db) {
+                Ok(_) => reply(tag, format_args!("ok created db={db}")),
+                Err(e) => reply(tag, format_args!("err {e}")),
+            }),
+            Ok(Request::DbDrop { db }) => respond(match cluster.drop_db(&db) {
+                Ok(()) => reply(tag, format_args!("ok dropped db={db}")),
+                Err(e) => reply(tag, format_args!("err {e}")),
+            }),
+            Ok(Request::DbList) => respond(render_listing(
+                tag,
+                cluster
+                    .list()
+                    .iter()
+                    .map(|i| format!("db {} shards={} facts={}", i.name, i.shards, i.model_facts)),
+            )),
         };
         if sent.is_err() {
             break Ok(()); // a downstream thread died (broken pipe): stop reading
@@ -925,19 +806,18 @@ impl Client {
         Ok(self.roundtrip(&format!("client {id}"))?.map(|_| ()))
     }
 
-    /// Binds this connection to a database on a multi-tenant server
-    /// ([`serve_cluster`]); every subsequent submit/query/stats runs
-    /// against it.
+    /// Binds this connection to one of the server's databases; every
+    /// subsequent submit/query/stats runs against it.
     pub fn use_db(&mut self, name: &str) -> io::Result<Result<(), String>> {
         Ok(self.roundtrip(&format!("use {name}"))?.map(|_| ()))
     }
 
-    /// Creates a database on a multi-tenant server.
+    /// Creates a database on the server.
     pub fn db_create(&mut self, name: &str) -> io::Result<Result<(), String>> {
         Ok(self.roundtrip(&format!("db create {name}"))?.map(|_| ()))
     }
 
-    /// Drops a database on a multi-tenant server. Fails while any
+    /// Drops a database on the server. Fails while any
     /// connection (including this one) is still bound to it.
     pub fn db_drop(&mut self, name: &str) -> io::Result<Result<(), String>> {
         Ok(self.roundtrip(&format!("db drop {name}"))?.map(|_| ()))
@@ -1127,25 +1007,37 @@ impl RetryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::DbOptions;
     use crate::IngestConfig;
-    use strata_core::registry::EngineRegistry;
+    use strata_core::{MaintenanceError, StorageSpec};
     use strata_datalog::{Fact, Program, Query};
 
-    fn pods_server() -> (Arc<Service>, ServerHandle) {
-        let program = Program::parse(
-            "submitted(1). submitted(2). accepted(2).
-             rejected(X) :- submitted(X), !accepted(X).",
-        )
-        .unwrap();
-        let engine = EngineRegistry::standard().build("cascade", program).unwrap();
-        let service = Arc::new(Service::start(engine, IngestConfig::default()));
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-        (service, handle)
+    const PODS: &str = "submitted(1). submitted(2). accepted(2).
+                        rejected(X) :- submitted(X), !accepted(X).";
+
+    /// Serves an in-memory cluster whose default database is `src` under
+    /// `cascade`, split over up to `shards` shards.
+    fn serve_program(src: &str, cfg: IngestConfig, shards: u32) -> (Arc<Cluster>, ServerHandle) {
+        let mut opts = DbOptions::new("cascade");
+        opts.shards = shards;
+        opts.cfg = cfg;
+        let cluster =
+            Cluster::new(Program::parse(src).unwrap(), StorageSpec::Mem, None, opts).unwrap();
+        let handle = serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
+        (cluster, handle)
+    }
+
+    fn pods_cluster(shards: u32) -> (Arc<Cluster>, ServerHandle) {
+        serve_program(PODS, IngestConfig::default(), shards)
+    }
+
+    fn pods_server() -> (Arc<Cluster>, ServerHandle) {
+        pods_cluster(1)
     }
 
     #[test]
     fn submit_query_flush_stats_roundtrip() {
-        let (service, handle) = pods_server();
+        let (cluster, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         assert_eq!(client.query("rejected(1)").unwrap().unwrap(), QueryReply::Boolean(true));
         let ack = client
@@ -1163,12 +1055,12 @@ mod tests {
         assert_eq!(client.stats_field("snapshot_version").unwrap(), Some(flushed_at));
         client.quit().unwrap();
         handle.stop();
-        assert_eq!(Arc::strong_count(&service), 1, "`ok bye` means the binding is released");
+        assert_eq!(Arc::strong_count(&cluster), 1, "`ok bye` means the binding is released");
     }
 
     #[test]
     fn rejections_travel_as_err_lines() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let err = client.submit_text("- ghost(1)").unwrap().unwrap_err();
         assert!(err.contains("not an asserted fact"), "{err}");
@@ -1180,7 +1072,7 @@ mod tests {
 
     #[test]
     fn two_clients_share_one_database() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let addr = handle.addr().to_string();
         let mut a = Client::connect(&addr).unwrap();
         let mut b = Client::connect(&addr).unwrap();
@@ -1193,7 +1085,7 @@ mod tests {
 
     #[test]
     fn read_your_writes_across_connections() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let addr = handle.addr().to_string();
         let mut writer = Client::connect(&addr).unwrap();
         let mut reader = Client::connect(&addr).unwrap();
@@ -1208,11 +1100,8 @@ mod tests {
 
     #[test]
     fn versioned_query_for_future_version_errors() {
-        let program = Program::parse("p(1).").unwrap();
-        let engine = EngineRegistry::standard().build("cascade", program).unwrap();
         let cfg = IngestConfig { read_wait: Duration::from_millis(30), ..IngestConfig::default() };
-        let service = Arc::new(Service::start(engine, cfg));
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let (_cluster, handle) = serve_program("p(1).", cfg, 1);
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let err = client.query_at(1_000_000, "p(X)").unwrap().unwrap_err();
         assert!(err.contains("not published"), "{err}");
@@ -1223,7 +1112,7 @@ mod tests {
 
     #[test]
     fn tagged_requests_interleave_on_one_connection() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         // Fire three tagged requests back to back without reading.
         client.send_raw("#a submit + submitted(70)").unwrap();
@@ -1244,7 +1133,7 @@ mod tests {
 
     #[test]
     fn sequenced_submits_replay_instead_of_reapplying() {
-        let (service, handle) = pods_server();
+        let (cluster, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         client.hello("alice").unwrap().unwrap();
         let first = client.roundtrip("submit seq=1 + submitted(41)").unwrap().unwrap();
@@ -1258,14 +1147,14 @@ mod tests {
         let e2 = client.roundtrip("submit seq=2 - ghost(1)").unwrap().unwrap_err();
         assert_eq!(e1, e2);
         assert!(e1.starts_with("code=not-asserted"), "{e1}");
-        let _ = service.stats();
+        let _ = cluster.default_db().stats();
         client.quit().unwrap();
         handle.stop();
     }
 
     #[test]
     fn sequenced_submit_without_client_id_is_refused() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let err = client.roundtrip("submit seq=1 + submitted(50)").unwrap().unwrap_err();
         assert!(err.contains("client"), "{err}");
@@ -1277,7 +1166,7 @@ mod tests {
 
     #[test]
     fn shutdown_verb_raises_the_server_flag() {
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let flag = handle.shutdown_requests();
         assert!(!flag.requested());
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
@@ -1290,7 +1179,7 @@ mod tests {
 
     #[test]
     fn retry_client_reconnects_across_a_server_restart() {
-        let (service, handle) = pods_server();
+        let (cluster, handle) = pods_server();
         let addr = handle.addr().to_string();
         let mut rc = RetryClient::new(&addr, "riley");
         let ack = rc.submit_text("+ submitted(77)").unwrap().unwrap();
@@ -1299,7 +1188,7 @@ mod tests {
         // Kill the listener out from under the client; rebind on the same
         // port and make sure the client re-handshakes and keeps its seq.
         handle.stop();
-        let handle = serve(Arc::clone(&service), &addr).expect("rebind same port");
+        let handle = serve(Arc::clone(&cluster), &addr).expect("rebind same port");
         let ack2 = rc.submit_text("+ accepted(77)").unwrap().unwrap();
         assert!(ack2.version > ack.version);
         assert_eq!(rc.last_seq(), 2, "each submit takes exactly one sequence number");
@@ -1319,21 +1208,6 @@ mod tests {
         assert!(!is_retryable_rejection("code=not-asserted cannot delete"));
         assert!(!is_retryable_rejection("code=unstratified rule"));
         assert!(!is_retryable_rejection("plain parse error"));
-    }
-
-    fn pods_cluster(shards: u32) -> (Arc<crate::tenant::Cluster>, ServerHandle) {
-        let program = Program::parse(
-            "submitted(1). submitted(2). accepted(2).
-             rejected(X) :- submitted(X), !accepted(X).",
-        )
-        .unwrap();
-        let mut opts = crate::shard::DbOptions::new("cascade");
-        opts.shards = shards;
-        let cluster =
-            crate::tenant::Cluster::new(program, strata_core::StorageSpec::Mem, None, opts)
-                .unwrap();
-        let handle = serve_cluster(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
-        (cluster, handle)
     }
 
     #[test]
@@ -1403,20 +1277,44 @@ mod tests {
     }
 
     #[test]
-    fn single_server_refuses_database_verbs() {
-        let (_service, handle) = pods_server();
-        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
-        for reply in [
-            client.use_db("other").unwrap(),
-            client.db_create("other").unwrap(),
-            client.db_drop("other").unwrap(),
-        ] {
-            let err = reply.unwrap_err();
-            assert!(err.contains("single-database"), "{err}");
+    fn sequenced_rule_retries_apply_once() {
+        for shards in [1, 2] {
+            let (cluster, handle) = serve_program("e(1). e(2).", IngestConfig::default(), shards);
+            let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+            client.hello("c").unwrap().unwrap();
+            let first = client.roundtrip("submit seq=1 + p(X) :- e(X).").unwrap();
+            let retry = client.roundtrip("submit seq=1 + p(X) :- e(X).").unwrap();
+            assert!(first.is_ok(), "shards={shards}: {first:?}");
+            assert_eq!(first, retry, "shards={shards}: a retry replays the first ack");
+            let db = cluster.default_db();
+            assert_eq!(db.program().num_rules(), 1, "shards={shards}: one copy of the rule");
+            assert_eq!(db.epoch(), u64::from(shards > 1), "shards={shards}: one barrier");
+            assert_eq!(client.stats_field("deduped").unwrap(), Some(1), "shards={shards}");
+            client.quit().unwrap();
+            handle.stop();
         }
-        assert!(client.db_list().unwrap().is_err());
+    }
+
+    #[test]
+    fn durable_sharded_cluster_metrics_carry_the_service_gauges() {
+        let dir = std::env::temp_dir().join(format!("strata_net_gauges_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = DbOptions::new("cascade");
+        opts.shards = 2;
+        let program = Program::parse(PODS).unwrap();
+        let cluster = Cluster::new(program, StorageSpec::wal(dir.clone()), None, opts).unwrap();
+        let handle = serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        client.submit_text("+ accepted(1)").unwrap().unwrap();
+        let chain = client.stats_field("snapshot_chain_len").unwrap().expect("durable stats");
+        for gauge in ["strata_recovery_ms", "strata_snapshot_chain_len", "strata_replay_bulk"] {
+            assert!(client.metrics_value(gauge).unwrap().is_some(), "{gauge} not exposed");
+        }
+        assert_eq!(client.metrics_value("strata_snapshot_chain_len").unwrap(), Some(chain));
         client.quit().unwrap();
         handle.stop();
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The parent's line-by-line rendering, kept verbatim as the golden
@@ -1558,7 +1456,7 @@ mod tests {
     fn pipelined_burst_keeps_responses_whole_and_untagged_requests_ordered() {
         const SUBMITS: usize = 256;
         const SCAN_EVERY: usize = 8;
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let addr = handle.addr().to_string();
         let mut probe = Client::connect(&addr).unwrap();
         let before = ["responses", "writes", "bytes_written"]
@@ -1643,11 +1541,8 @@ mod tests {
         // The delayed-ACK stall this guards against is >= 40 ms per round
         // trip; 5 ms leaves an 8x margin over it for host jitter.
         const ROUNDS: usize = 50;
-        let program = Program::parse("p(1).").unwrap();
-        let engine = EngineRegistry::standard().build("cascade", program).unwrap();
         let cfg = IngestConfig { max_delay: Duration::ZERO, ..IngestConfig::default() };
-        let service = Arc::new(Service::start(engine, cfg));
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let (_cluster, handle) = serve_program("p(1).", cfg, 1);
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
         let mut median = |what: &str, f: &mut dyn FnMut(&mut Client, usize)| {
             let mut took: Vec<Duration> = (0..ROUNDS)
@@ -1675,7 +1570,7 @@ mod tests {
 
     #[test]
     fn half_close_mid_burst_drains_and_ends_all_three_threads() {
-        let (service, _handle) = pods_server();
+        let (cluster, _handle) = pods_server();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
@@ -1684,7 +1579,7 @@ mod tests {
         let (done_tx, done_rx) = mpsc::channel();
         let conn = std::thread::spawn(move || {
             let flag = ShutdownFlag::default();
-            let _ = done_tx.send(serve_connection(accepted, Backend::Single(service), &flag));
+            let _ = done_tx.send(serve_connection(accepted, cluster, &flag));
         });
         let mut burst = String::new();
         for i in 0..256 {
@@ -1728,7 +1623,7 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_millis(450), "must not wait out the server");
         hold.join().unwrap();
         // Against a live server the timeout client works normally.
-        let (_service, handle) = pods_server();
+        let (_cluster, handle) = pods_server();
         let mut client =
             Client::connect_timeout(&handle.addr().to_string(), Duration::from_secs(5)).unwrap();
         assert_eq!(client.query("rejected(1)").unwrap().unwrap(), QueryReply::Boolean(true));

@@ -56,14 +56,13 @@
 //! shutdown → "ok shutting down"
 //! ```
 //!
-//! The `use` / `db` verbs exist only on a multi-tenant front-end
-//! ([`crate::net::serve_cluster`]); a single-database server answers them
-//! with an `err` line. Every connection starts bound to the `default`
-//! database; `use <name>` rebinds it, and the binding holds the database
-//! open — `db drop` refuses a database any connection is still bound to.
-//! On a tenant-bound connection `stats` appends ` db=<name> shards=<n>`
-//! after the fixed key sequence (appended, never inserted, so the legacy
-//! prefix keeps its wire contract).
+//! Every server ([`crate::net::serve`]) fronts a cluster of named
+//! databases. Every connection starts bound to the `default` database;
+//! `use <name>` rebinds it, and the binding holds the database open —
+//! `db drop` refuses a database any connection is still bound to. `stats`
+//! ends with ` db=<name> shards=<n>` after the fixed key sequence
+//! (appended, never inserted, so the older prefix keeps its wire
+//! contract).
 //!
 //! `metrics` streams the global registry in Prometheus text exposition
 //! format (`# TYPE` comments and `name{label} value` samples, sorted by
@@ -417,10 +416,10 @@ pub fn render_stats(s: &ServiceStats) -> String {
     line
 }
 
-/// Renders the stats line for a tenant-bound connection: the fixed
-/// [`render_stats`] sequence with ` db=<name> shards=<n>` **appended** at
-/// the end — the legacy prefix never changes, so scripted consumers that
-/// only know the single-database keys keep working against a cluster.
+/// Renders the `stats` line of a connection bound to database `db`: the
+/// fixed [`render_stats`] sequence with ` db=<name> shards=<n>`
+/// **appended** at the end — the prefix never changes, so scripted
+/// consumers that only know the older keys keep working.
 pub fn render_stats_for(s: &ServiceStats, db: &str, shards: u32) -> String {
     let mut line = render_stats(s);
     line.push_str(&format!(" db={db} shards={shards}"));

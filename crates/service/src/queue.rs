@@ -77,6 +77,14 @@ impl SubmitHandle {
         SubmitHandle(Arc::new(Completion::default()))
     }
 
+    /// A handle already holding its decision (requests decided outside
+    /// any queue, such as the shard router's rule barriers).
+    pub(crate) fn decided(outcome: Outcome) -> SubmitHandle {
+        let handle = SubmitHandle::new();
+        handle.fulfill(outcome);
+        handle
+    }
+
     /// Blocks until the service has decided this request.
     pub fn wait(&self) -> Outcome {
         let mut slot = self.0.slot.lock().unwrap_or_else(|p| p.into_inner());

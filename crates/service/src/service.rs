@@ -284,6 +284,27 @@ pub struct ServiceStats {
     pub durability: Option<DurabilityStats>,
 }
 
+impl ServiceStats {
+    /// Pushes the service-level gauges into the global metrics registry so
+    /// a `metrics` render agrees with the `stats` line these stats render
+    /// to. Called by [`crate::Cluster::fill_registry`] just before
+    /// rendering; the authoritative values stay in [`ServiceStats`].
+    pub fn fill_registry(&self) {
+        let r = strata_obs::global();
+        r.gauge("strata_service_worker_restarts").set(self.worker_restarts);
+        r.gauge("strata_service_read_only").set(u64::from(self.read_only));
+        r.gauge("strata_service_blocked").set(self.blocked);
+        r.gauge("strata_service_snapshot_reads").set(self.snapshot_reads);
+        r.gauge("strata_queue_depth").set(self.pending as u64);
+        if let Some(d) = &self.durability {
+            r.gauge("strata_recovery_ms").set(d.recovery_ms);
+            r.gauge("strata_snapshot_chain_len").set(d.snapshot_chain_len);
+            r.gauge("strata_replay_bulk")
+                .set(u64::from(d.replay_mode == strata_core::ReplayMode::Bulk));
+        }
+    }
+}
+
 /// Restart policy of the self-healing worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -326,17 +347,37 @@ struct ClientWindow {
     order: VecDeque<u64>,
 }
 
-/// The idempotency table behind [`Service::submit_dedup`].
+/// The idempotency table behind [`Service::submit_dedup`] (and the shard
+/// router's window for rule barriers).
 #[derive(Debug, Default)]
-struct DedupTable {
+pub(crate) struct DedupTable {
     clients: FxHashMap<String, ClientWindow>,
     /// Client arrival order, for FIFO eviction at [`MAX_DEDUP_CLIENTS`].
     order: VecDeque<String>,
 }
 
 impl DedupTable {
-    fn lookup(&self, client: &str, seq: u64) -> Option<SubmitHandle> {
-        self.clients.get(client).and_then(|w| w.seqs.get(&seq)).cloned()
+    /// Runs `submit` for a first sighting of `(client, seq)` and records
+    /// its handle in the client's last-`window` sequence numbers. A retry
+    /// gets the recorded handle back instead (`true`: replayed) — in
+    /// flight or decided, it is never re-applied — unless the recorded
+    /// decision was a retryable rejection: that is what the client was
+    /// told to do, so it re-executes and replaces the record.
+    pub(crate) fn submit_once(
+        &mut self,
+        client: &str,
+        seq: u64,
+        window: usize,
+        submit: impl FnOnce() -> SubmitHandle,
+    ) -> (SubmitHandle, bool) {
+        if let Some(handle) = self.clients.get(client).and_then(|w| w.seqs.get(&seq)) {
+            if !matches!(handle.try_get(), Some(Outcome::Rejected(e)) if e.is_retryable()) {
+                return (handle.clone(), true);
+            }
+        }
+        let handle = submit();
+        self.record(client, seq, handle.clone(), window.max(1));
+        (handle, false)
     }
 
     fn record(&mut self, client: &str, seq: u64, handle: SubmitHandle, window: usize) {
@@ -396,7 +437,7 @@ impl Service {
     /// serving; submits reject with [`MaintenanceError::ReadOnly`]). Use
     /// [`Service::start_supervised`] to make failures heal instead.
     pub fn start(engine: EngineBox, cfg: IngestConfig) -> Service {
-        Service::start_supervised(engine, cfg, SupervisorConfig::default(), None, None)
+        Service::start_supervised(engine, cfg, SupervisorConfig::default(), None, None, None)
     }
 
     /// Starts the service with a self-healing worker: after a panic or a
@@ -404,22 +445,13 @@ impl Service {
     /// `rebuild` (bounded attempts, exponential backoff, write-probed),
     /// swaps it in, and publishes a fresh snapshot version. `faults` arms
     /// the worker's injectable panic points (tests, `--fault-plan`).
+    ///
+    /// With a shared [`WorkerBudget`] the worker thread still exists per
+    /// service, but it only *processes groups* while holding a budget
+    /// permit, so N tenants sharing one budget never run more than
+    /// `budget.limit()` engine commits concurrently. Idle workers (blocked
+    /// in `next_group`) hold no permit.
     pub fn start_supervised(
-        engine: EngineBox,
-        cfg: IngestConfig,
-        supervisor: SupervisorConfig,
-        rebuild: Option<EngineRebuild>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Service {
-        Service::start_budgeted(engine, cfg, supervisor, rebuild, faults, None)
-    }
-
-    /// [`Service::start_supervised`] with a shared [`WorkerBudget`]: the
-    /// worker thread still exists per service, but it only *processes
-    /// groups* while holding a budget permit, so N tenants sharing one
-    /// budget never run more than `budget.limit()` engine commits
-    /// concurrently. Idle workers (blocked in `next_group`) hold no permit.
-    pub fn start_budgeted(
         engine: EngineBox,
         cfg: IngestConfig,
         supervisor: SupervisorConfig,
@@ -480,26 +512,6 @@ impl Service {
         self.worker_id
     }
 
-    /// Pushes the service-level gauges into the global metrics registry so
-    /// a `metrics` render agrees with [`Service::stats`] by construction.
-    /// Called by the wire front-end and the REPL just before rendering;
-    /// the authoritative values stay in [`ServiceStats`].
-    pub fn fill_registry(&self) {
-        let stats = self.stats();
-        let r = strata_obs::global();
-        r.gauge("strata_service_worker_restarts").set(stats.worker_restarts);
-        r.gauge("strata_service_read_only").set(u64::from(stats.read_only));
-        r.gauge("strata_service_blocked").set(stats.blocked);
-        r.gauge("strata_service_snapshot_reads").set(stats.snapshot_reads);
-        r.gauge("strata_queue_depth").set(stats.pending as u64);
-        if let Some(d) = &stats.durability {
-            r.gauge("strata_recovery_ms").set(d.recovery_ms);
-            r.gauge("strata_snapshot_chain_len").set(d.snapshot_chain_len);
-            r.gauge("strata_replay_bulk")
-                .set(u64::from(d.replay_mode == strata_core::ReplayMode::Bulk));
-        }
-    }
-
     /// Submits one update; returns immediately (blocking only on
     /// backpressure) with the completion handle.
     pub fn submit(&self, update: Update) -> SubmitHandle {
@@ -524,26 +536,18 @@ impl Service {
     /// updates this stays safe — inserts and deletes are idempotent on the
     /// belief state).
     pub fn submit_dedup(&self, client: &str, seq: u64, update: Update) -> SubmitHandle {
-        let window = self.queue.config().dedup_window.max(1);
-        let mut table = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(handle) = table.lookup(client, seq) {
-            match handle.try_get() {
-                // The service told the client to retry this one: re-execute
-                // and replace the recorded handle below.
-                Some(Outcome::Rejected(e)) if e.is_retryable() => {}
-                // In-flight or decided: never re-apply.
-                _ => {
-                    self.counters.deduped.fetch_add(1, Ordering::Relaxed);
-                    return handle;
-                }
-            }
-        }
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let window = self.queue.config().dedup_window;
         // The table lock is held across the (possibly backpressured)
         // submit so a concurrent retry of the same (client, seq) cannot
         // slip past the window and double-apply.
-        let handle = self.queue.submit(update);
-        table.record(client, seq, handle.clone(), window);
+        let mut table = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
+        let (handle, replayed) = table.submit_once(client, seq, window, || {
+            self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            self.queue.submit(update)
+        });
+        if replayed {
+            self.counters.deduped.fetch_add(1, Ordering::Relaxed);
+        }
         handle
     }
 
@@ -1338,7 +1342,7 @@ mod tests {
     ) -> Service {
         let program = Program::parse(PODS_SEED).unwrap();
         let engine = EngineRegistry::standard().build("cascade", program).unwrap();
-        Service::start_supervised(engine, IngestConfig::default(), sup, rebuild, faults)
+        Service::start_supervised(engine, IngestConfig::default(), sup, rebuild, faults, None)
     }
 
     #[test]

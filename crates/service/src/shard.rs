@@ -31,7 +31,7 @@
 //! first, so anything an old token could name is already visible. A
 //! database opened unsharded (`shards == 1`, no manifest) keeps raw
 //! versions for its whole life — the wire surface stays byte-identical to
-//! the unsharded server.
+//! a single [`Service`]'s.
 //!
 //! ## The router arity book
 //!
@@ -61,7 +61,9 @@ use strata_core::{
 use strata_datalog::{DatalogError, DepGraph, Fact, Program, RelSource, Relation, Rule, Symbol};
 
 use crate::queue::{Outcome, SubmitHandle};
-use crate::service::{EngineRebuild, Service, ServiceStats, SupervisorConfig, VersionedSnapshot};
+use crate::service::{
+    DedupTable, EngineRebuild, Service, ServiceStats, SupervisorConfig, VersionedSnapshot,
+};
 use crate::tenant::WorkerBudget;
 use crate::IngestConfig;
 
@@ -209,6 +211,7 @@ struct RouterCounters {
     accepted: AtomicU64,
     rejected: AtomicU64,
     barriers: AtomicU64,
+    deduped: AtomicU64,
 }
 
 /// A maintained stratified database, split across per-component shards.
@@ -219,6 +222,9 @@ struct RouterCounters {
 pub struct ShardedDb {
     inner: RwLock<Router>,
     counters: RouterCounters,
+    /// Sequenced rule barriers by `(client, seq)`, replayed on retry
+    /// (shards > 1 only: a flat database's rules use its worker's window).
+    dedup: Mutex<DedupTable>,
     strategy: String,
     target: u32,
     storage: StorageSpec,
@@ -272,6 +278,30 @@ impl ShardHandle {
                 handle.try_get().map(|o| map_outcome(o, *epoch, *shard, *single))
             }
         }
+    }
+}
+
+/// A database flush in flight ([`ShardedDb::submit_flush`]): one barrier
+/// per shard, all queued at the same instant.
+pub(crate) struct DbFlush {
+    epoch: u64,
+    flat: bool,
+    handles: Vec<SubmitHandle>,
+}
+
+impl DbFlush {
+    /// Blocks until every shard has decided everything queued before the
+    /// barrier; returns the watermark token (shard 0's flush version).
+    pub(crate) fn wait(self) -> u64 {
+        let mut first = 0;
+        for (k, h) in self.handles.into_iter().enumerate() {
+            if let Outcome::Accepted { version, .. } = h.wait() {
+                if k == 0 {
+                    first = version;
+                }
+            }
+        }
+        encode_version(self.epoch, first, 0, self.flat)
     }
 }
 
@@ -368,6 +398,7 @@ impl ShardedDb {
                 book: Mutex::new(FxHashMap::default()),
             }),
             counters: RouterCounters::default(),
+            dedup: Mutex::new(DedupTable::default()),
             strategy: opts.strategy.clone(),
             target,
             storage: storage.clone(),
@@ -581,7 +612,7 @@ impl ShardedDb {
                         }))
                     }
                 };
-                Service::start_budgeted(
+                Service::start_supervised(
                     engine,
                     self.cfg,
                     self.sup,
@@ -598,39 +629,33 @@ impl ShardedDb {
     /// flat, flow through the worker queue exactly like an unsharded
     /// service).
     pub fn submit(&self, update: Update) -> ShardHandle {
-        let update = normalize(&update);
-        match update {
-            Update::InsertFact(_) | Update::DeleteFact(_) => self.submit_fact(update),
-            rule => self.submit_rule(rule),
-        }
+        self.route(update, None)
     }
 
-    /// Idempotent submit, routed to the owning shard's dedup window. Rule
-    /// updates skip deduplication: the barrier serializes them under the
-    /// router's write lock, and retrying an already-applied rule change
-    /// is rejected by the engine (duplicate insert / unknown delete) —
-    /// ambiguous but never double-applied.
+    /// Idempotent submit under `(client, seq)`: a retry replays the first
+    /// decision instead of re-applying the update. Fact updates use the
+    /// owning shard's dedup window; rule updates use the single worker's
+    /// window on a flat database, and the router's own window of
+    /// [`IngestConfig::dedup_window`] barrier outcomes otherwise. Without
+    /// it a retried rule insert would be accepted again, as a second
+    /// copy of the rule.
     pub fn submit_dedup(&self, client: &str, seq: u64, update: Update) -> ShardHandle {
-        let update = normalize(&update);
-        match &update {
-            Update::InsertFact(_) | Update::DeleteFact(_) => {
-                let r = self.read();
-                if let Some(ready) = self.arity_gate(&r, &update) {
-                    return ShardHandle::Ready(ready);
-                }
-                let shard = r.plan.shard_of(fact_rel(&update));
-                ShardHandle::Routed {
-                    epoch: r.epoch,
-                    shard,
-                    single: self.flat,
-                    handle: r.shards[shard as usize].submit_dedup(client, seq, update),
-                }
-            }
-            _ => self.submit_rule(update),
+        self.route(update, Some((client, seq)))
+    }
+
+    fn route(&self, update: Update, dedup: Option<(&str, u64)>) -> ShardHandle {
+        // Only a rule can normalize to something else (a fact clause).
+        let update = match update {
+            fact @ (Update::InsertFact(_) | Update::DeleteFact(_)) => fact,
+            rule => normalize(&rule),
+        };
+        match update {
+            Update::InsertFact(_) | Update::DeleteFact(_) => self.submit_fact(update, dedup),
+            rule => self.submit_rule(rule, dedup),
         }
     }
 
-    fn submit_fact(&self, update: Update) -> ShardHandle {
+    fn submit_fact(&self, update: Update, dedup: Option<(&str, u64)>) -> ShardHandle {
         let r = self.read();
         if let Some(ready) = self.arity_gate(&r, &update) {
             return ShardHandle::Ready(ready);
@@ -640,7 +665,7 @@ impl ShardedDb {
             epoch: r.epoch,
             shard,
             single: self.flat,
-            handle: r.shards[shard as usize].submit(update),
+            handle: submit_to(&r.shards[shard as usize], update, dedup),
         }
     }
 
@@ -673,7 +698,7 @@ impl ShardedDb {
         }
     }
 
-    fn submit_rule(&self, update: Update) -> ShardHandle {
+    fn submit_rule(&self, update: Update, dedup: Option<(&str, u64)>) -> ShardHandle {
         {
             let r = self.read();
             if r.shards.len() == 1 && self.target == 1 {
@@ -683,11 +708,24 @@ impl ShardedDb {
                     epoch: r.epoch,
                     shard: 0,
                     single: self.flat,
-                    handle: r.shards[0].submit(update),
+                    handle: submit_to(&r.shards[0], update, dedup),
                 };
             }
         }
-        ShardHandle::Ready(self.rule_barrier(update))
+        let Some((client, seq)) = dedup else {
+            return ShardHandle::Ready(self.rule_barrier(update));
+        };
+        // Held across the barrier, like a worker's window across its
+        // submit: a concurrent retry of the same (client, seq) waits and
+        // then replays.
+        let mut table = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
+        let (handle, replayed) = table.submit_once(client, seq, self.cfg.dedup_window, || {
+            SubmitHandle::decided(self.rule_barrier(update))
+        });
+        if replayed {
+            self.counters.deduped.fetch_add(1, Ordering::Relaxed);
+        }
+        ShardHandle::Ready(handle.wait())
     }
 
     /// The global barrier (module docs): flush every shard, decide the
@@ -798,17 +836,18 @@ impl ShardedDb {
     /// Flushes every shard; returns a version token the published state
     /// already satisfies — an "at least this" watermark.
     pub fn flush(&self) -> u64 {
+        self.submit_flush().wait()
+    }
+
+    /// Queues a flush barrier on every shard now, in stream order with
+    /// the submits before and after it, without waiting for it.
+    pub(crate) fn submit_flush(&self) -> DbFlush {
         let r = self.read();
-        let handles: Vec<SubmitHandle> = r.shards.iter().map(|s| s.submit_flush()).collect();
-        let mut first = 0;
-        for (k, h) in handles.into_iter().enumerate() {
-            if let Outcome::Accepted { version, .. } = h.wait() {
-                if k == 0 {
-                    first = version;
-                }
-            }
+        DbFlush {
+            epoch: r.epoch,
+            flat: self.flat,
+            handles: r.shards.iter().map(|s| s.submit_flush()).collect(),
         }
-        encode_version(r.epoch, first, 0, self.flat)
     }
 
     /// The current composed view: every shard's published snapshot.
@@ -886,14 +925,15 @@ impl ShardedDb {
             snapshot_reads: sum(|s| s.snapshot_reads),
             model_facts: shard_stats.iter().map(|s| s.model_facts).sum(),
             worker_restarts: sum(|s| s.worker_restarts),
-            deduped: sum(|s| s.deduped),
+            deduped: sum(|s| s.deduped) + self.counters.deduped.load(Ordering::Relaxed),
             read_only: shard_stats.iter().any(|s| s.read_only),
             durability,
         }
     }
 
     /// Pushes per-shard gauges into the global registry under
-    /// `{db="…",shard="…"}` labels, plus per-database aggregates.
+    /// `{db="…",shard="…"}` labels, plus per-database aggregates. The
+    /// unlabeled service gauges are [`ServiceStats::fill_registry`]'s.
     pub fn fill_registry(&self, db: &str) {
         let r = self.read();
         let reg = strata_obs::global();
@@ -953,6 +993,12 @@ impl ShardedDb {
         self.read().plan.shard_of(rel)
     }
 
+    /// Each serving shard's [`Service::worker_ordinal`], in shard order —
+    /// the `worker=` ids on this database's trace spans.
+    pub fn worker_ordinals(&self) -> Vec<u64> {
+        self.read().shards.iter().map(Service::worker_ordinal).collect()
+    }
+
     /// Drains and stops every shard worker; returns the final engines in
     /// shard order (tests inspect their models and dumps).
     pub fn shutdown(self) -> Vec<EngineBox> {
@@ -991,6 +1037,14 @@ fn precheck_rule_book(
         check(lit.atom.rel, lit.atom.arity())?;
     }
     Ok(())
+}
+
+/// Submits to one shard worker, through its dedup window when sequenced.
+fn submit_to(shard: &Service, update: Update, dedup: Option<(&str, u64)>) -> SubmitHandle {
+    match dedup {
+        Some((client, seq)) => shard.submit_dedup(client, seq, update),
+        None => shard.submit(update),
+    }
 }
 
 fn fact_rel(update: &Update) -> Symbol {

@@ -7,13 +7,14 @@
 //! [`WorkerBudget`] bounding how many tenant workers commit concurrently,
 //! so N databases never cost N × the configured thread budget.
 //!
-//! The cluster always contains the `default` database, which serves
-//! connections that never issue `use <db>` — its storage is exactly the
-//! legacy single-database layout, so a server upgraded in place keeps
-//! byte-identical behavior. Named tenants live under the cluster's data
-//! root, one directory per database, with the same storage knobs
-//! (fsync policy, compaction, checkpoint mode, replay mode) as the
-//! default.
+//! Every server front-end ([`crate::net::serve`]) serves a cluster. It
+//! always contains the `default` database, which serves connections that
+//! never issue `use <db>`; opened unsharded, its store is the flat layout
+//! of one engine directory and its versions stay raw. Named tenants live
+//! under the cluster's data root, one directory per database, with the
+//! same storage knobs (fsync policy, compaction, checkpoint mode, replay
+//! mode) as the default — or in memory when the cluster has no data
+//! root.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -108,9 +109,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Opens a cluster whose `default` database is `seed` over `storage`
-    /// (exactly a single-database server), with named tenants created
-    /// under `data_root`.
+    /// Opens a cluster whose `default` database is `seed` over `storage`,
+    /// with named tenants created under `data_root`.
     pub fn new(
         seed: Program,
         storage: StorageSpec,
@@ -174,7 +174,7 @@ impl Cluster {
             .map(|(name, db)| DbInfo {
                 name: name.clone(),
                 shards: db.shards(),
-                model_facts: db.snapshot().model_facts(),
+                model_facts: db.stats().model_facts,
             })
             .collect()
     }
@@ -203,10 +203,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Pushes every database's per-shard gauges into the global registry
-    /// under `{db="…",shard="…"}` labels.
+    /// Syncs the global registry before a `metrics` render: the unlabeled
+    /// service gauges from the default database's aggregated stats (so
+    /// they agree with a default-bound connection's `stats` line), then
+    /// every database's per-shard gauges under `{db="…",shard="…"}`
+    /// labels.
     pub fn fill_registry(&self) {
-        for (name, db) in self.read().iter() {
+        let dbs = self.read();
+        dbs[DEFAULT_DB].stats().fill_registry();
+        for (name, db) in dbs.iter() {
             db.fill_registry(name);
         }
     }

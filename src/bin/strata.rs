@@ -46,7 +46,7 @@ use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{EngineBox, MaintenanceEngine, StorageSpec, Update, UpdateStats};
 use stratamaint::datalog::{Fact, Program, Query, Rule};
 use stratamaint::service::net::{Client, QueryReply, ServerHandle};
-use stratamaint::service::{net, IngestConfig, Service};
+use stratamaint::service::{net, Cluster, DbOptions};
 
 /// A parsed REPL command.
 #[derive(Clone, Debug)]
@@ -212,7 +212,7 @@ struct Repl {
     durable_path: Option<String>,
     last_stats: Option<UpdateStats>,
     /// Ingest servers started with `:serve`, kept alive for the session.
-    servers: Vec<(Arc<Service>, ServerHandle)>,
+    servers: Vec<(Arc<Cluster>, ServerHandle)>,
     /// When `Some`, the shell is a client of a remote server: updates,
     /// queries, `:stats`, and `:flush` travel over the wire.
     remote: Option<Client>,
@@ -378,22 +378,20 @@ impl Repl {
                 // under the current strategy: the server owns its engine
                 // (drive it with :connect or the strata-serve client).
                 let name = self.engine.inner().name();
-                match self.registry.build(name, self.engine.program().clone()) {
-                    Ok(engine) => {
-                        let service = Arc::new(Service::start(engine, IngestConfig::default()));
-                        match net::serve(Arc::clone(&service), &addr) {
-                            Ok(handle) => {
-                                writeln!(
-                                    out,
-                                    "  serving {name} on {} (a detached in-memory copy of the \
-                                     current program; :connect {0} to drive it)",
-                                    handle.addr()
-                                )?;
-                                self.servers.push((service, handle));
-                            }
-                            Err(e) => writeln!(out, "  error: cannot bind {addr}: {e}")?,
+                let program = self.engine.program().clone();
+                match Cluster::new(program, StorageSpec::Mem, None, DbOptions::new(name)) {
+                    Ok(cluster) => match net::serve(Arc::clone(&cluster), &addr) {
+                        Ok(handle) => {
+                            writeln!(
+                                out,
+                                "  serving {name} on {} (a detached in-memory copy of the \
+                                 current program; :connect {0} to drive it)",
+                                handle.addr()
+                            )?;
+                            self.servers.push((cluster, handle));
                         }
-                    }
+                        Err(e) => writeln!(out, "  error: cannot bind {addr}: {e}")?,
+                    },
                     Err(e) => writeln!(out, "  error: {e}")?,
                 }
             }
@@ -416,10 +414,10 @@ impl Repl {
                 writeln!(out, "  local updates apply synchronously (use :flush after :connect)")?
             }
             Command::Metrics => {
-                // Sync each local server's service gauges first, so the
-                // exposition agrees with what their `stats` verbs report.
-                for (service, _) in &self.servers {
-                    service.fill_registry();
+                // Sync each local server's gauges first, so the exposition
+                // agrees with what their `stats` verbs report.
+                for (cluster, _) in &self.servers {
+                    cluster.fill_registry();
                 }
                 let text = stratamaint::obs::render();
                 if text.is_empty() {
@@ -565,7 +563,7 @@ impl Repl {
 
 /// Compares the service-level fields of a `stats` line against the same
 /// values in a metrics exposition (the `strata_service_*` gauges the
-/// server syncs via `Service::fill_registry` before rendering). Returns
+/// server syncs via `Cluster::fill_registry` before rendering). Returns
 /// one description per disagreement — empty means the legacy line and the
 /// registry agree.
 fn stats_registry_divergence(stats_line: &str, metrics_text: &str) -> Vec<String> {
@@ -616,7 +614,7 @@ const HELP: &str = "  + <fact|rule>     insert        - <fact|rule>   delete
   :serve <addr>     TCP ingest server over the current program
   :connect <addr> [--timeout-ms <n>]   become a client of a server
   :disconnect       leave remote mode
-  :use <db>         bind to a database on a multi-tenant server (remote mode)
+  :use <db>         bind to one of the server's databases (remote mode)
   :dbs              list the server's databases (remote mode)
   :flush            wait for all submitted updates (remote mode)
   :metrics          metrics registry (Prometheus text; remote asks the server)
@@ -954,7 +952,7 @@ mod tests {
         )
         .unwrap();
         cluster.create("tenant1").unwrap();
-        let handle = net::serve_cluster(std::sync::Arc::clone(&cluster), "127.0.0.1:0").unwrap();
+        let handle = net::serve(std::sync::Arc::clone(&cluster), "127.0.0.1:0").unwrap();
         let mut repl = pods_repl();
         // :use and :dbs are remote-mode commands.
         assert!(run(&mut repl, ":dbs").contains(":connect"));
@@ -993,6 +991,28 @@ mod tests {
         // A metric missing from the exposition is not a divergence (the
         // server may predate the registry).
         assert!(stats_registry_divergence(stats, "").is_empty());
+    }
+
+    #[test]
+    fn sharded_server_stats_agree_with_its_registry() {
+        let mut opts = DbOptions::new("cascade");
+        opts.shards = 2;
+        let program = pods_repl().engine.program().clone();
+        let cluster = Cluster::new(program, StorageSpec::Mem, None, opts).unwrap();
+        let handle = net::serve(Arc::clone(&cluster), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        client.submit_text("+ accepted(1)").unwrap().unwrap();
+        client.query("rejected(X)").unwrap().unwrap();
+        let stats = client.stats().unwrap().unwrap();
+        let metrics = client.metrics().unwrap().unwrap();
+        for gauge in ["strata_service_snapshot_reads", "strata_service_blocked"] {
+            let exposed = metrics.lines().any(|l| l.starts_with(&format!("{gauge} ")));
+            assert!(exposed, "{gauge} missing from:\n{metrics}");
+        }
+        let drift = stats_registry_divergence(&stats, &metrics);
+        assert!(drift.is_empty(), "{drift:?}");
+        client.quit().unwrap();
+        handle.stop();
     }
 
     #[test]

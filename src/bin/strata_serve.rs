@@ -1,10 +1,11 @@
 //! `strata-serve` — the standalone ingest server.
 //!
 //! Binds a TCP listener and serves the line protocol of
-//! `strata_service::protocol` (submit / query / flush / stats / quit)
-//! against one maintained stratified database. Many clients share one
-//! coalescing queue, so concurrent submissions group-commit: one engine
-//! transaction — and, with `--store`, one WAL fsync — per group.
+//! `strata_service::protocol` (submit / query / flush / stats / use /
+//! quit …) against a cluster of maintained stratified databases, through
+//! `strata_service::net::serve`. Clients of one unsharded database share
+//! one coalescing queue, so concurrent submissions group-commit: one
+//! engine transaction — and, with `--store`, one WAL fsync — per group.
 //!
 //! ```text
 //! strata-serve 127.0.0.1:7171 --strategy cascade --store ./db \
@@ -37,14 +38,15 @@
 //!
 //! ## Multi-tenancy and sharding
 //!
-//! Any of the following flags switch the front-end to a cluster serving
-//! named databases (`use <db>`, `db create|list|drop` on the wire). The
-//! default database keeps the legacy layout — a `--store` directory from
-//! a single-database server opens unchanged:
+//! Every server serves a cluster of named databases: a connection starts
+//! bound to `default` and may `use <db>`, `db create|list|drop` on the
+//! wire. The default database keeps the flat `--store` layout unless it is
+//! sharded. These flags shape the cluster; none of them changes which
+//! code path serves it:
 //!
 //! * `--data-root <dir>`   durable home for named databases
 //!   (`<dir>/<name>`); without `--store`, the default database lives at
-//!   `<dir>/default`
+//!   `<dir>/default`. Without it, named databases live in memory
 //! * `--db <name>[,<name>…]` precreate (or reopen) named databases at
 //!   startup; repeatable
 //! * `--shards <n>`        partition every database into up to `n` shard
@@ -66,21 +68,16 @@
 //!
 //! Ctrl-C (SIGINT/SIGTERM) or the wire's `shutdown` verb triggers a
 //! graceful exit: stop accepting, drain and decide every queued request,
-//! checkpoint a durable store, then exit 0.
+//! checkpoint every durable database, then exit 0.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use stratamaint::core::durable::DEFAULT_MAX_CHAIN;
-use stratamaint::core::registry::EngineRegistry;
-use stratamaint::core::{
-    FaultPlan, MaintenanceEngine, MaintenanceError, ReplayMode, SnapshotMode, StorageSpec, WalSpec,
-};
+use stratamaint::core::{FaultPlan, ReplayMode, SnapshotMode, StorageSpec, WalSpec};
 use stratamaint::datalog::Program;
-use stratamaint::service::{
-    net, Cluster, DbOptions, EngineRebuild, IngestConfig, Service, SupervisorConfig, WorkerBudget,
-};
+use stratamaint::service::{net, Cluster, DbOptions, IngestConfig, WorkerBudget};
 use stratamaint::store::CompactionPolicy;
 
 struct Args {
@@ -126,16 +123,6 @@ impl Args {
             }
             (None, None) => StorageSpec::Mem,
         }
-    }
-
-    /// Whether any multi-tenant/sharding flag was given: those are served
-    /// by a [`Cluster`] front-end; without them the classic single-service
-    /// path runs unchanged.
-    fn cluster_mode(&self) -> bool {
-        self.data_root.is_some()
-            || !self.dbs.is_empty()
-            || self.shards > 1
-            || self.worker_budget.is_some()
     }
 }
 
@@ -302,19 +289,16 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(plan) = args.fault_plan.as_ref().filter(|plan| !plan.is_empty()) {
         eprintln!("fault injection armed: {plan}");
     }
-    if args.cluster_mode() {
-        return run_cluster(&args, program, faults);
-    }
-    // The supervisor's rebuild reopens the store, which ignores the seed
-    // unless the directory has vanished: one shared copy for that closure,
-    // made only for a durable store; the parsed original moves into the
-    // first build.
-    let seed = storage.is_durable().then(|| Arc::new(program.clone()));
-    let registry = EngineRegistry::standard();
-    let engine = registry
-        .build_with_storage_faults(&args.strategy, program, &storage, faults.clone())
-        .map_err(|e| e.to_string())?;
-    if let Some(d) = engine.durability() {
+    let mut opts = DbOptions::new(&args.strategy);
+    opts.shards = args.shards;
+    opts.cfg = args.cfg;
+    opts.faults = faults;
+    opts.budget = args.worker_budget.map(WorkerBudget::new);
+    let data_root = args.data_root.as_ref().map(std::path::PathBuf::from);
+    let cluster = Cluster::new(program, storage.clone(), data_root, opts)
+        .map_err(|e| format!("cannot open the default database: {e}"))?;
+    let stats = cluster.default_db().stats();
+    if let (Some(d), StorageSpec::Wal(spec)) = (stats.durability, &storage) {
         eprintln!(
             "recovered {} transactions ({} updates) in {} ms ({} replay, chain {}) from {}",
             d.recovered_txns,
@@ -322,43 +306,30 @@ fn run(args: Args) -> Result<(), String> {
             d.recovery_ms,
             d.replay_mode,
             d.snapshot_chain_len,
-            args.store.as_deref().unwrap_or("?"),
+            spec.dir.display(),
         );
     }
+    for name in &args.dbs {
+        cluster.create(name).map_err(|e| format!("--db {name}: {e}"))?;
+    }
     eprintln!(
-        "serving {} ({} facts) — group <= {}, delay {:?}, storage {}",
+        "serving {} ({} facts; {} databases, {} shards each) — group <= {}, delay {:?}, \
+         storage {}",
         args.strategy,
-        engine.model().len(),
+        stats.model_facts,
+        cluster.list().len(),
+        args.shards,
         args.cfg.max_group,
         args.cfg.max_delay,
         storage,
     );
-    // A durable store is its own replay source: the supervisor can heal a
-    // crashed worker by rebuilding from the WAL. In-memory engines have
-    // nothing to rebuild from — a fresh build would silently drop every
-    // committed update — so they get no rebuild and degrade to read-only
-    // on persistent failure instead.
-    let rebuild = seed.map(|seed| -> EngineRebuild {
-        let strategy = args.strategy.clone();
-        let storage = storage.clone();
-        let faults = faults.clone();
-        Arc::new(move || {
-            EngineRegistry::standard()
-                .build_with_storage_faults(&strategy, (*seed).clone(), &storage, faults.clone())
-                .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))
-        })
-    });
-    let service = Arc::new(Service::start_supervised(
-        engine,
-        args.cfg,
-        SupervisorConfig::default(),
-        rebuild,
-        faults,
-    ));
-    let handle = net::serve(Arc::clone(&service), &args.addr).map_err(|e| e.to_string())?;
+    if let Some(budget) = args.worker_budget {
+        eprintln!("worker budget: {budget} concurrently active shard workers");
+    }
+    let handle = net::serve(Arc::clone(&cluster), &args.addr).map_err(|e| e.to_string())?;
     eprintln!(
-        "listening on {} (client | submit | query | flush | compact | stats | metrics | trace | \
-         shutdown | quit)",
+        "listening on {} (client | submit | query | use | db | flush | compact | stats | \
+         metrics | trace | shutdown | quit)",
         handle.addr()
     );
     install_signal_handlers();
@@ -377,75 +348,11 @@ fn run(args: Args) -> Result<(), String> {
             break;
         }
     }
-    // Graceful teardown: stop accepting, decide everything already queued
-    // (every ack implies durability for a WAL store), checkpoint, exit.
-    // Connections still open die with the process — their clients have
-    // their acks.
-    handle.stop();
-    service.flush();
-    match service.with_engine_mut(|e| e.checkpoint()) {
-        Ok(true) => eprintln!("checkpointed store; bye"),
-        Ok(false) => eprintln!("bye"),
-        Err(e) => eprintln!("checkpoint failed (WAL remains authoritative): {e}"),
-    }
-    Ok(())
-}
-
-/// The multi-tenant/sharded server path: a [`Cluster`] front-end whose
-/// default database keeps the legacy storage layout, with named tenants
-/// precreated from `--db` under `--data-root`, each database sharded to
-/// `--shards` and every shard worker drawing from one `--worker-budget`.
-fn run_cluster(
-    args: &Args,
-    program: Program,
-    faults: Option<Arc<stratamaint::core::FaultInjector>>,
-) -> Result<(), String> {
-    let storage = args.storage();
-    let mut opts = DbOptions::new(&args.strategy);
-    opts.shards = args.shards;
-    opts.cfg = args.cfg;
-    opts.sup = SupervisorConfig::default();
-    opts.faults = faults;
-    opts.budget = args.worker_budget.map(WorkerBudget::new);
-    let data_root = args.data_root.as_ref().map(std::path::PathBuf::from);
-    let cluster = Cluster::new(program, storage.clone(), data_root, opts)
-        .map_err(|e| format!("cannot open the default database: {e}"))?;
-    for name in &args.dbs {
-        cluster.create(name).map_err(|e| format!("--db {name}: {e}"))?;
-    }
-    eprintln!(
-        "serving {} ({} databases, {} shards each) — group <= {}, delay {:?}, storage {}",
-        args.strategy,
-        cluster.list().len(),
-        args.shards,
-        args.cfg.max_group,
-        args.cfg.max_delay,
-        storage,
-    );
-    if let Some(budget) = args.worker_budget {
-        eprintln!("worker budget: {budget} concurrently active shard workers");
-    }
-    let handle = net::serve_cluster(Arc::clone(&cluster), &args.addr).map_err(|e| e.to_string())?;
-    eprintln!(
-        "listening on {} (client | submit | query | use | db | flush | compact | stats | \
-         metrics | trace | shutdown | quit)",
-        handle.addr()
-    );
-    install_signal_handlers();
-    let requests = handle.shutdown_requests();
-    loop {
-        if requests.wait_timeout(Duration::from_millis(200)) {
-            eprintln!("shutdown requested over the wire");
-            break;
-        }
-        if SIGNALLED.load(Ordering::SeqCst) {
-            eprintln!("signal received");
-            break;
-        }
-    }
-    // Graceful teardown mirrors the single-database path, tenant by
-    // tenant: decide everything queued, then checkpoint each durable
-    // store so the next open recovers from snapshots instead of the WAL.
+    // Graceful teardown, database by database: stop accepting, decide
+    // everything already queued (every ack implies durability for a WAL
+    // store), then checkpoint each durable store so the next open
+    // recovers from snapshots instead of the WAL. Connections still open
+    // die with the process — their clients have their acks.
     handle.stop();
     for info in cluster.list() {
         let Some(db) = cluster.get(&info.name) else { continue };
@@ -592,7 +499,6 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert!(a.cluster_mode());
         assert_eq!(a.data_root.as_deref(), Some("/tmp/cluster"));
         assert_eq!(a.dbs, ["alpha", "beta", "gamma"]);
         assert_eq!(a.shards, 4);
@@ -610,7 +516,6 @@ mod tests {
         let StorageSpec::Wal(spec) = a.storage() else { panic!("durable") };
         assert_eq!(spec.replay, ReplayMode::Engine);
         // Validation.
-        assert!(!args(&["x:0"]).unwrap().cluster_mode());
         assert!(args(&["x:0", "--shards", "0"]).is_err());
         assert!(args(&["x:0", "--worker-budget", "0"]).is_err());
     }

@@ -81,7 +81,14 @@ fn supervised(dir: &Path, faults: &Arc<FaultInjector>, rebuild: bool) -> Service
         backoff: Duration::from_millis(1),
         probe_interval: Duration::from_millis(5),
     };
-    Service::start_supervised(engine, tight_cfg(), supervisor, rebuild, Some(Arc::clone(faults)))
+    Service::start_supervised(
+        engine,
+        tight_cfg(),
+        supervisor,
+        rebuild,
+        Some(Arc::clone(faults)),
+        None,
+    )
 }
 
 /// Submits one sequenced update and retries retryable rejections until a
@@ -243,8 +250,14 @@ fn delta_snapshot_fault_mid_auto_compaction_is_non_fatal_and_recoverable() {
         backoff: Duration::from_millis(1),
         probe_interval: Duration::from_millis(5),
     };
-    let service =
-        Service::start_supervised(engine, tight_cfg(), supervisor, None, Some(Arc::clone(&faults)));
+    let service = Service::start_supervised(
+        engine,
+        tight_cfg(),
+        supervisor,
+        None,
+        Some(Arc::clone(&faults)),
+        None,
+    );
 
     let script = random_fact_script(&program(), &ScriptConfig { len: 48, insert_prob: 0.6 }, 29);
     let armed_at = script.len() / 3;

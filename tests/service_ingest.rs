@@ -16,7 +16,7 @@ use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{EngineBox, MaintenanceEngine, StorageSpec, SupportDump, Update};
 use stratamaint::datalog::{Fact, Program};
 use stratamaint::service::net::{self, Client, QueryReply};
-use stratamaint::service::{IngestConfig, Outcome, Service};
+use stratamaint::service::{Cluster, DbOptions, IngestConfig, Outcome, Service};
 
 fn fact(s: &str) -> Fact {
     Fact::parse(s).unwrap()
@@ -171,17 +171,16 @@ fn n_clients_m_updates_durable_group_commit_and_reopen() {
 fn tcp_clients_against_one_server_match_the_oracle() {
     const CLIENTS: usize = 3;
     const M: usize = 40;
-    let engine = EngineRegistry::standard().build("cascade", program()).unwrap();
-    let service = Arc::new(Service::start(
-        engine,
-        IngestConfig {
-            max_group: 16,
-            max_delay: Duration::from_millis(2),
-            max_pending: 1024,
-            ..IngestConfig::default()
-        },
-    ));
-    let server = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut opts = DbOptions::new("cascade");
+    opts.cfg = IngestConfig {
+        max_group: 16,
+        max_delay: Duration::from_millis(2),
+        max_pending: 1024,
+        ..IngestConfig::default()
+    };
+    let cluster = Cluster::new(program(), StorageSpec::Mem, None, opts).unwrap();
+    let db = cluster.default_db();
+    let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let addr = server.addr().to_string();
     let mut workers = Vec::new();
     for c in 0..CLIENTS {
@@ -215,10 +214,10 @@ fn tcp_clients_against_one_server_match_the_oracle() {
     assert_eq!(accepted + rejected, (CLIENTS * M) as u64);
     client.quit().expect("io");
     server.stop();
-    // Detached connection threads may still hold their service handles
+    // Detached connection threads may still hold their database handles
     // briefly; the model comparison goes through the shared reference.
     assert_eq!(
-        service.with_engine(|e| e.model().sorted_facts()),
+        db.snapshot().sorted_facts(),
         oracle_engine.model().sorted_facts(),
         "final model over TCP"
     );

@@ -27,7 +27,9 @@ use stratamaint::core::{EngineBox, FaultPlan, MaintenanceError, StorageSpec, Upd
 use stratamaint::datalog::{Fact, Program};
 use stratamaint::obs::{self, EventKind};
 use stratamaint::service::net::{self, Client};
-use stratamaint::service::{EngineRebuild, IngestConfig, Service, SupervisorConfig};
+use stratamaint::service::{
+    Cluster, DbOptions, EngineRebuild, IngestConfig, Service, SupervisorConfig,
+};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("strata_obs_{name}_{}", std::process::id()));
@@ -63,12 +65,26 @@ fn durable_service(dir: &Path, plan: Option<&FaultPlan>) -> Service {
                 .map_err(|e| MaintenanceError::Storage(format!("rebuild failed: {e}")))
         })
     };
-    let supervisor = SupervisorConfig {
+    Service::start_supervised(engine, tight_cfg(), supervisor(), Some(rebuild), faults, None)
+}
+
+/// Fast heals: three attempts, 1 ms backoff, 5 ms read-only probes.
+fn supervisor() -> SupervisorConfig {
+    SupervisorConfig {
         max_restarts: 3,
         backoff: Duration::from_millis(1),
         probe_interval: Duration::from_millis(5),
-    };
-    Service::start_supervised(engine, tight_cfg(), supervisor, Some(rebuild), faults)
+    }
+}
+
+/// A cluster whose default database is [`program`] over `storage`, each
+/// worker supervised like [`durable_service`]'s — what `strata-serve`
+/// runs.
+fn served_cluster(storage: StorageSpec) -> Arc<Cluster> {
+    let mut opts = DbOptions::new("cascade");
+    opts.cfg = tight_cfg();
+    opts.sup = supervisor();
+    Cluster::new(program(), storage, None, opts).expect("open store")
 }
 
 /// An in-memory service (unsupervised start — no rebuild source).
@@ -114,8 +130,8 @@ fn field_u64(span: &HashMap<String, String>, key: &str) -> u64 {
 #[test]
 fn metrics_exposition_over_a_live_saturated_server() {
     let dir = scratch("metrics");
-    let service = Arc::new(durable_service(&dir, None));
-    let handle = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served_cluster(StorageSpec::wal(dir.clone()));
+    let handle = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let acks = saturate(&handle.addr().to_string(), 4, 40);
     assert_eq!(acks.len(), 160, "every submit accepted");
 
@@ -184,7 +200,7 @@ fn metrics_exposition_over_a_live_saturated_server() {
 
     handle.stop();
     drop(client);
-    drop(service); // connection threads hold the last refs briefly
+    drop(cluster); // connection threads hold the last refs briefly
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -201,8 +217,8 @@ fn metric_value(text: &str, name: &str) -> Option<u64> {
 #[test]
 fn compact_verb_and_recovery_surface_over_the_wire() {
     let dir = scratch("compact_wire");
-    let service = Arc::new(durable_service(&dir, None));
-    let handle = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served_cluster(StorageSpec::wal(dir.clone()));
+    let handle = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     for j in 0..6 {
         let update = Update::InsertFact(Fact::parse(&format!("submitted(1, {j})")).unwrap());
@@ -235,12 +251,12 @@ fn compact_verb_and_recovery_surface_over_the_wire() {
 
     handle.stop();
     drop(client);
-    drop(service);
+    drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 
     // The in-memory counterpart refuses the verb with a reason.
-    let service = Arc::new(mem_service());
-    let handle = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served_cluster(StorageSpec::Mem);
+    let handle = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
     let err = client.compact().expect("io").expect_err("mem engine cannot compact");
     assert!(err.contains("in-memory"), "{err}");
@@ -251,9 +267,9 @@ fn compact_verb_and_recovery_surface_over_the_wire() {
 #[test]
 fn every_ack_maps_to_exactly_one_monotonic_span() {
     let dir = scratch("spans");
-    let service = Arc::new(durable_service(&dir, None));
-    let worker = service.worker_ordinal();
-    let handle = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served_cluster(StorageSpec::wal(dir.clone()));
+    let [worker] = cluster.default_db().worker_ordinals()[..] else { panic!("one shard") };
+    let handle = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let acks = saturate(&handle.addr().to_string(), 3, 30);
 
     let mut client = Client::connect(&handle.addr().to_string()).unwrap();
@@ -315,7 +331,7 @@ fn every_ack_maps_to_exactly_one_monotonic_span() {
     }
 
     drop(client);
-    drop(service);
+    drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,10 +9,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use strata_core::registry::EngineRegistry;
-use strata_core::Update;
+use strata_core::{StorageSpec, Update};
 use strata_datalog::{Fact, Program, Query};
 use strata_service::net::{self, Client, QueryReply};
-use strata_service::{IngestConfig, Outcome, Service};
+use strata_service::{Cluster, DbOptions, IngestConfig, Outcome, Service};
 
 const STRATEGIES: [&str; 6] =
     ["recompute", "static", "dynamic-single", "dynamic-multi", "cascade", "fact-level"];
@@ -25,6 +25,14 @@ fn program() -> Program {
          isolated(X) :- edge(X, X), !reach(0, X).",
     )
     .unwrap()
+}
+
+/// An in-memory `cascade` cluster over [`program`], as `strata-serve`
+/// serves it.
+fn served(cfg: IngestConfig) -> Arc<Cluster> {
+    let mut opts = DbOptions::new("cascade");
+    opts.cfg = cfg;
+    Cluster::new(program(), StorageSpec::Mem, None, opts).unwrap()
 }
 
 fn ins(s: &str) -> Update {
@@ -124,12 +132,13 @@ fn readers_proceed_while_writers_saturate_group_commits() {
     const READERS: usize = 2;
     const WRITES_PER_WRITER: usize = 200;
     const READS_PER_READER: usize = 60;
-    let engine = EngineRegistry::standard().build("cascade", program()).unwrap();
-    let service = Arc::new(Service::start(
-        engine,
-        IngestConfig { max_group: 256, max_delay: Duration::from_millis(1), ..Default::default() },
-    ));
-    let server = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served(IngestConfig {
+        max_group: 256,
+        max_delay: Duration::from_millis(1),
+        ..Default::default()
+    });
+    let db = cluster.default_db();
+    let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let addr = server.addr().to_string();
     let writers_done = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
@@ -179,7 +188,7 @@ fn readers_proceed_while_writers_saturate_group_commits() {
             // work is visibly done.
             loop {
                 std::thread::sleep(Duration::from_millis(20));
-                let stats = service.stats();
+                let stats = db.stats();
                 if stats.accepted >= (WRITERS * WRITES_PER_WRITER) as u64 {
                     done.store(true, Ordering::Relaxed);
                     break;
@@ -194,9 +203,8 @@ fn readers_proceed_while_writers_saturate_group_commits() {
 /// `@version` from a *different* connection, observes the write.
 #[test]
 fn query_at_observes_own_commit_across_connections() {
-    let engine = EngineRegistry::standard().build("cascade", program()).unwrap();
-    let service = Arc::new(Service::start(engine, IngestConfig::default()));
-    let server = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let cluster = served(IngestConfig::default());
+    let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let addr = server.addr().to_string();
     let mut writer = Client::connect(&addr).expect("connect");
     for i in 0..20 {

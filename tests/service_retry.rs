@@ -14,10 +14,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use stratamaint::core::registry::EngineRegistry;
-use stratamaint::core::MaintenanceEngine;
+use stratamaint::core::{MaintenanceEngine, StorageSpec};
 use stratamaint::datalog::Program;
 use stratamaint::service::net::{self, RetryClient};
-use stratamaint::service::{IngestConfig, Service};
+use stratamaint::service::{Cluster, DbOptions, IngestConfig};
 use stratamaint::workload::script::{random_fact_script, ScriptConfig};
 
 fn program() -> Program {
@@ -96,18 +96,19 @@ fn lossy_proxy(upstream: SocketAddr, mut schedule: Vec<(usize, bool)>) -> Socket
     addr
 }
 
-/// Drives one strategy's service through the lossy proxy and checks the
+/// Drives one strategy's server through the lossy proxy and checks the
 /// exactly-once contract against the per-update oracle.
 fn lossy_run(strategy: &str, seed: u64, schedule: Vec<(usize, bool)>) {
     let registry = EngineRegistry::standard();
-    let engine = registry.build(strategy, program()).unwrap();
-    let cfg = IngestConfig {
+    let mut opts = DbOptions::new(strategy);
+    opts.cfg = IngestConfig {
         max_group: 8,
         max_delay: Duration::from_millis(1),
         ..IngestConfig::default()
     };
-    let service = Arc::new(Service::start(engine, cfg));
-    let server = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind server");
+    let cluster = Cluster::new(program(), StorageSpec::Mem, None, opts).unwrap();
+    let db = cluster.default_db();
+    let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind server");
     let proxy = lossy_proxy(server.addr(), schedule);
 
     let script = random_fact_script(&program(), &ScriptConfig { len: 30, insert_prob: 0.6 }, seed);
@@ -125,13 +126,13 @@ fn lossy_run(strategy: &str, seed: u64, schedule: Vec<(usize, bool)>) {
     let oracle_decisions: Vec<bool> = script.iter().map(|u| oracle.apply(u).is_ok()).collect();
     assert_eq!(decisions, oracle_decisions, "[{strategy}] decisions diverged under loss");
     assert_eq!(
-        service.with_engine(|e| e.model().sorted_facts()),
+        db.snapshot().sorted_facts(),
         oracle.model().sorted_facts(),
         "[{strategy}] model diverged under loss"
     );
     // Exactly-once at the counters too: every logical submit was decided
     // precisely once; ambiguous retries were replays, not re-applications.
-    let stats = service.stats();
+    let stats = db.stats();
     assert_eq!(
         stats.accepted + stats.rejected,
         script.len() as u64,

@@ -8,12 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use strata_core::registry::EngineRegistry;
-use strata_core::Update;
+use strata_core::{StorageSpec, Update};
 use strata_datalog::{Fact, Program, Query, Value};
 use strata_service::net::{self, Client};
 use strata_service::protocol::{parse_request, render_tagged, render_update, split_tag, Request};
-use strata_service::{IngestConfig, Service};
+use strata_service::{Cluster, DbOptions, IngestConfig};
 
 /// Client-chosen tags: any non-empty run of printable, non-whitespace
 /// ASCII — including `#`, quotes, and punctuation.
@@ -136,12 +135,11 @@ proptest! {
 fn pipelined_hostile_traffic_correlates_by_tag() {
     let nasty = ["ok group=1", "#t submit", "a\"b\\c", "héllo 日本", "query @1 p(X)"];
     let program = Program::parse("seen(X) :- item(_, X).").unwrap();
-    let engine = EngineRegistry::standard().build("cascade", program).unwrap();
-    let service = Arc::new(Service::start(
-        engine,
-        IngestConfig { max_group: 16, max_delay: Duration::from_millis(1), ..Default::default() },
-    ));
-    let server = net::serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let mut opts = DbOptions::new("cascade");
+    opts.cfg =
+        IngestConfig { max_group: 16, max_delay: Duration::from_millis(1), ..Default::default() };
+    let cluster = Cluster::new(program, StorageSpec::Mem, None, opts).unwrap();
+    let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");
 
     // Fire the whole burst before reading anything: submits and queries
@@ -190,5 +188,5 @@ fn pipelined_hostile_traffic_correlates_by_tag() {
     }
     client.quit().expect("quit");
     server.stop();
-    Arc::try_unwrap(service).ok().expect("all clones dropped").shutdown();
+    Arc::try_unwrap(cluster).ok().expect("all clones dropped");
 }
