@@ -325,12 +325,7 @@ impl Bound {
                 Err(published) => return version_unpublished(tag, version, published),
             },
         };
-        // Evaluation looks a relation up once per probe; a one-shard view
-        // answers from its model directly, skipping the scan over parts.
-        match snap.parts() {
-            [only] => render_query(&only.model, tag, query),
-            _ => render_query(&snap, tag, query),
-        }
+        render_query(&snap, tag, query)
     }
 }
 

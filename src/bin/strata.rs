@@ -46,7 +46,7 @@ use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::{EngineBox, MaintenanceEngine, StorageSpec, Update, UpdateStats};
 use stratamaint::datalog::{Fact, Program, Query, Rule};
 use stratamaint::service::net::{Client, QueryReply, ServerHandle};
-use stratamaint::service::{net, Cluster, DbOptions};
+use stratamaint::service::{net, Cluster, DbOptions, DEFAULT_DB};
 
 /// A parsed REPL command.
 #[derive(Clone, Debug)]
@@ -565,7 +565,8 @@ impl Repl {
 /// values in a metrics exposition (the `strata_service_*` gauges the
 /// server syncs via `Cluster::fill_registry` before rendering). Returns
 /// one description per disagreement — empty means the legacy line and the
-/// registry agree.
+/// registry agree. Those gauges describe the default database only, so a
+/// line from a connection bound to another database is not compared.
 fn stats_registry_divergence(stats_line: &str, metrics_text: &str) -> Vec<String> {
     const PAIRS: [(&str, &str); 4] = [
         ("worker_restarts", "strata_service_worker_restarts"),
@@ -573,11 +574,13 @@ fn stats_registry_divergence(stats_line: &str, metrics_text: &str) -> Vec<String
         ("blocked", "strata_service_blocked"),
         ("snapshot_reads", "strata_service_snapshot_reads"),
     ];
-    let stat = |key: &str| -> Option<u64> {
-        stats_line
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+    let field = |key: &str| -> Option<&str> {
+        stats_line.split_whitespace().find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
     };
+    if field("db").is_some_and(|db| db != DEFAULT_DB) {
+        return Vec::new();
+    }
+    let stat = |key: &str| -> Option<u64> { field(key)?.parse().ok() };
     let metric = |name: &str| -> Option<u64> {
         metrics_text
             .lines()
@@ -967,6 +970,9 @@ mod tests {
         assert!(out.contains("error: no database named ghost"), "{out}");
         let out = run(&mut repl, ":stats");
         assert!(out.contains("db=tenant1"), "{out}");
+        // The unlabeled gauges describe the default database, so tenant1's
+        // own read count is not reported as drift.
+        assert!(!out.contains("divergence"), "{out}");
         run(&mut repl, ":disconnect");
         handle.stop();
     }
@@ -991,6 +997,10 @@ mod tests {
         // A metric missing from the exposition is not a divergence (the
         // server may predate the registry).
         assert!(stats_registry_divergence(stats, "").is_empty());
+        // Another database's line is not held against the default's gauges.
+        let tenant = format!("{} db=tenant1 shards=1", stats.replace("blocked=2", "blocked=7"));
+        assert!(stats_registry_divergence(&tenant, metrics).is_empty());
+        assert_eq!(stats_registry_divergence(&format!("{stats} db=default"), &skewed).len(), 1);
     }
 
     #[test]

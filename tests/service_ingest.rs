@@ -179,7 +179,6 @@ fn tcp_clients_against_one_server_match_the_oracle() {
         ..IngestConfig::default()
     };
     let cluster = Cluster::new(program(), StorageSpec::Mem, None, opts).unwrap();
-    let db = cluster.default_db();
     let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind");
     let addr = server.addr().to_string();
     let mut workers = Vec::new();
@@ -214,13 +213,27 @@ fn tcp_clients_against_one_server_match_the_oracle() {
     assert_eq!(accepted + rejected, (CLIENTS * M) as u64);
     client.quit().expect("io");
     server.stop();
-    // Detached connection threads may still hold their database handles
-    // briefly; the model comparison goes through the shared reference.
     assert_eq!(
-        db.snapshot().sorted_facts(),
+        shut_down(cluster).model().sorted_facts(),
         oracle_engine.model().sorted_facts(),
         "final model over TCP"
     );
+}
+
+/// Stops a flat cluster's default database and returns its engine, once
+/// every detached connection thread has let go of it (each exits on its
+/// own after its client hangs up).
+fn shut_down(cluster: Arc<Cluster>) -> EngineBox {
+    let mut db = cluster.default_db();
+    drop(cluster);
+    for _ in 0..1000 {
+        match Arc::try_unwrap(db) {
+            Ok(db) => return db.shutdown().pop().expect("one shard"),
+            Err(held) => db = held,
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("a connection thread still holds the database");
 }
 
 #[test]

@@ -107,7 +107,6 @@ fn lossy_run(strategy: &str, seed: u64, schedule: Vec<(usize, bool)>) {
         ..IngestConfig::default()
     };
     let cluster = Cluster::new(program(), StorageSpec::Mem, None, opts).unwrap();
-    let db = cluster.default_db();
     let server = net::serve(Arc::clone(&cluster), "127.0.0.1:0").expect("bind server");
     let proxy = lossy_proxy(server.addr(), schedule);
 
@@ -125,21 +124,37 @@ fn lossy_run(strategy: &str, seed: u64, schedule: Vec<(usize, bool)>) {
     let mut oracle = registry.build(strategy, program()).unwrap();
     let oracle_decisions: Vec<bool> = script.iter().map(|u| oracle.apply(u).is_ok()).collect();
     assert_eq!(decisions, oracle_decisions, "[{strategy}] decisions diverged under loss");
-    assert_eq!(
-        db.snapshot().sorted_facts(),
-        oracle.model().sorted_facts(),
-        "[{strategy}] model diverged under loss"
-    );
+    // Hang up and stop serving; once every connection thread has let go
+    // of the database, its worker hands back the engine.
+    drop(rc);
+    server.stop();
+    let mut shared = cluster.default_db();
+    drop(cluster);
+    let mut waits = 0;
+    let db = loop {
+        match Arc::try_unwrap(shared) {
+            Ok(db) => break db,
+            Err(held) => shared = held,
+        }
+        waits += 1;
+        assert!(waits < 1000, "[{strategy}] a connection thread still holds the database");
+        std::thread::sleep(Duration::from_millis(5));
+    };
     // Exactly-once at the counters too: every logical submit was decided
     // precisely once; ambiguous retries were replays, not re-applications.
     let stats = db.stats();
+    let engine = db.shutdown().pop().expect("one shard");
+    assert_eq!(
+        engine.model().sorted_facts(),
+        oracle.model().sorted_facts(),
+        "[{strategy}] model diverged under loss"
+    );
     assert_eq!(
         stats.accepted + stats.rejected,
         script.len() as u64,
         "[{strategy}] each submit decided exactly once (deduped={})",
         stats.deduped
     );
-    server.stop();
 }
 
 #[test]

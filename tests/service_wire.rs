@@ -188,5 +188,7 @@ fn pipelined_hostile_traffic_correlates_by_tag() {
     }
     client.quit().expect("quit");
     server.stop();
+    let db = cluster.default_db();
     Arc::try_unwrap(cluster).ok().expect("all clones dropped");
+    Arc::try_unwrap(db).ok().expect("the cluster held the last clone").shutdown();
 }
