@@ -4,14 +4,18 @@
 //! matching experiment binary with `--smoke --out <path>`) against the
 //! committed **smoke baseline** (`BENCH_<kind>.smoke.json`, regenerated
 //! with the same `--smoke --out` invocation) and exits non-zero if any
-//! **headline metric** regressed more than [`TOLERANCE`]× (2×). Smoke runs
-//! are compared to smoke baselines — ratios shift with workload size, so
-//! full-size baselines would false-alarm. Headline metrics are chosen to
-//! be *ratios*, not absolute times, so the check is meaningful across
+//! **headline metric** regressed more than [`TOLERANCE`]× (2×), or any
+//! size metric grew more than [`SIZE_SLACK`]. Smoke runs are compared to
+//! smoke baselines — ratios shift with workload size, so full-size
+//! baselines would false-alarm. Headline metrics are chosen to be *ratios*
+//! (or byte counts), not absolute times, so the check is meaningful across
 //! machines of different speed:
 //!
 //! * `plan`     — per workload, the compiled-vs-interpreted `speedup`.
-//! * `store`    — batched-fsync vs per-update-fsync commit throughput.
+//! * `store`    — batched-fsync vs per-update-fsync commit throughput, and
+//!   each recovery row's `snapshot_kib`: a byte count, fixed for a fixed
+//!   seed on any host, so it is held to the baseline within [`SIZE_SLACK`]
+//!   (1 %) rather than a factor of two.
 //! * `service`  — coalesced group-commit vs per-request ingest throughput
 //!   (the `strata-service` headline ratio).
 //! * `shard`    — sharded vs single-worker ingest throughput (the e16
@@ -37,10 +41,39 @@ use strata_bench::json::{parse, Json};
 /// A fresh headline metric must be at least `baseline / TOLERANCE`.
 const TOLERANCE: f64 = 2.0;
 
+/// A fresh size metric may be at most `baseline × SIZE_SLACK`.
+const SIZE_SLACK: f64 = 1.01;
+
 /// One comparable headline metric.
 struct Metric {
     label: String,
     value: f64,
+    /// A size (lower is better, held within [`SIZE_SLACK`]) rather than a
+    /// ratio (higher is better, held within [`TOLERANCE`]).
+    size: bool,
+}
+
+impl Metric {
+    fn ratio(label: impl Into<String>, value: f64) -> Metric {
+        Metric { label: label.into(), value, size: false }
+    }
+
+    /// The worst fresh value that still passes against this baseline.
+    fn limit(&self) -> f64 {
+        if self.size {
+            self.value * SIZE_SLACK
+        } else {
+            self.value / TOLERANCE
+        }
+    }
+
+    fn passes(&self, fresh: f64) -> bool {
+        if self.size {
+            fresh <= self.limit()
+        } else {
+            fresh >= self.limit()
+        }
+    }
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -56,12 +89,13 @@ fn plan_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
         .map(|r| {
             let workload = r.get("workload").and_then(Json::as_str).ok_or("missing workload")?;
             let speedup = r.get("speedup").and_then(Json::as_f64).ok_or("missing speedup")?;
-            Ok(Metric { label: format!("speedup[{workload}]"), value: speedup })
+            Ok(Metric::ratio(format!("speedup[{workload}]"), speedup))
         })
         .collect()
 }
 
-/// `store`: batched-fsync over per-update-fsync commit throughput.
+/// `store`: batched-fsync over per-update-fsync commit throughput, and the
+/// checkpoint size of every recovery row.
 fn store_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
     let throughput = doc.get("throughput").ok_or("missing `throughput`")?.items();
     let rate = |mode: &str| -> Result<f64, String> {
@@ -72,7 +106,21 @@ fn store_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
             .ok_or_else(|| format!("missing updates_per_sec for mode {mode}"))
     };
     let ratio = rate("batched_fsync")? / rate("per_update_fsync")?;
-    Ok(vec![Metric { label: "batched/per-update fsync throughput".into(), value: ratio }])
+    let mut metrics = vec![Metric::ratio("batched/per-update fsync throughput", ratio)];
+    let rows = doc.get("recovery").ok_or("missing `recovery`")?.items();
+    if rows.is_empty() {
+        return Err("no recovery rows".into());
+    }
+    for r in rows {
+        let txns = r.get("wal_txns").and_then(Json::as_f64).ok_or("missing wal_txns")?;
+        let kib = r.get("snapshot_kib").and_then(Json::as_f64).ok_or("missing snapshot_kib")?;
+        metrics.push(Metric {
+            label: format!("snapshot_kib[{txns} txns]"),
+            value: kib,
+            size: true,
+        });
+    }
+    Ok(metrics)
 }
 
 /// `read`: the MVCC read-path headlines — snapshot-over-mutex reads per
@@ -98,14 +146,14 @@ fn read_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
         return Err("no read rows".into());
     }
     Ok(vec![
-        Metric {
-            label: "snapshot/mutex reads at largest batch".into(),
-            value: cell("snapshot", largest)? / cell("mutex", largest)?,
-        },
-        Metric {
-            label: "snapshot flatness largest/smallest batch".into(),
-            value: cell("snapshot", largest)? / cell("snapshot", smallest)?,
-        },
+        Metric::ratio(
+            "snapshot/mutex reads at largest batch",
+            cell("snapshot", largest)? / cell("mutex", largest)?,
+        ),
+        Metric::ratio(
+            "snapshot flatness largest/smallest batch",
+            cell("snapshot", largest)? / cell("snapshot", smallest)?,
+        ),
     ])
 }
 
@@ -120,7 +168,7 @@ fn recovery_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
         .map(|r| {
             let txns = r.get("wal_txns").and_then(Json::as_f64).ok_or("missing wal_txns")?;
             let speedup = r.get("speedup").and_then(Json::as_f64).ok_or("missing speedup")?;
-            Ok(Metric { label: format!("bulk/engine replay[{txns} txns]"), value: speedup })
+            Ok(Metric::ratio(format!("bulk/engine replay[{txns} txns]"), speedup))
         })
         .collect()
 }
@@ -136,7 +184,7 @@ fn service_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
             .ok_or_else(|| format!("missing updates_per_sec for mode {mode}"))
     };
     let ratio = rate("service_coalesced")? / rate("per_update_fsync")?;
-    Ok(vec![Metric { label: "coalesced/per-request ingest throughput".into(), value: ratio }])
+    Ok(vec![Metric::ratio("coalesced/per-request ingest throughput", ratio)])
 }
 
 /// `service-obs`: the observability overhead guard. Same extraction as
@@ -148,7 +196,7 @@ fn service_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
 fn service_obs_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
     Ok(service_metrics(doc)?
         .into_iter()
-        .map(|m| Metric { label: format!("instrumented {}", m.label), value: m.value })
+        .map(|m| Metric::ratio(format!("instrumented {}", m.label), m.value))
         .collect())
 }
 
@@ -165,7 +213,7 @@ fn shard_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
             .ok_or_else(|| format!("missing updates_per_sec for mode {mode}"))
     };
     let ratio = rate("sharded")? / rate("single_worker")?;
-    Ok(vec![Metric { label: "sharded/single-worker ingest throughput".into(), value: ratio }])
+    Ok(vec![Metric::ratio("sharded/single-worker ingest throughput", ratio)])
 }
 
 fn metrics(kind: &str, doc: &Json) -> Result<Vec<Metric>, String> {
@@ -194,15 +242,17 @@ fn check(kind: &str, baseline_path: &str, fresh_path: &str) -> Result<bool, Stri
             ok = false;
             continue;
         };
-        let floor = b.value / TOLERANCE;
-        let verdict = if f.value >= floor { "ok      " } else { "REGRESSED" };
+        let pass = b.passes(f.value);
+        let verdict = if pass { "ok      " } else { "REGRESSED" };
+        let bound = if b.size { "ceiling" } else { "floor" };
         println!(
-            "{verdict} {:<40} baseline {:.2}, fresh {:.2} (floor {:.2})",
-            b.label, b.value, f.value, floor
+            "{verdict} {:<40} baseline {:.2}, fresh {:.2} ({bound} {:.2})",
+            b.label,
+            b.value,
+            f.value,
+            b.limit()
         );
-        if f.value < floor {
-            ok = false;
-        }
+        ok &= pass;
     }
     Ok(ok)
 }
@@ -218,11 +268,11 @@ fn main() -> ExitCode {
     };
     match check(kind, baseline, fresh) {
         Ok(true) => {
-            println!("\nbench_check: {kind} headline metrics within {TOLERANCE}x of baseline");
+            println!("\nbench_check: {kind} headline metrics within their bounds of baseline");
             ExitCode::SUCCESS
         }
         Ok(false) => {
-            eprintln!("\nbench_check: {kind} headline metrics regressed more than {TOLERANCE}x");
+            eprintln!("\nbench_check: {kind} headline metrics regressed past their bounds");
             ExitCode::FAILURE
         }
         Err(e) => {
@@ -257,11 +307,59 @@ mod tests {
                 {"mode": "per_update_fsync", "updates_per_sec": 100},
                 {"mode": "batched_fsync", "updates_per_sec": 1800},
                 {"mode": "per_update_buffered", "updates_per_sec": 9000}
-            ]}"#);
+            ], "recovery": [{"wal_txns": 20, "snapshot_kib": 4.0}]}"#);
         let m = store_metrics(&base).unwrap();
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.len(), 2, "the ratio, then one size per recovery row");
         assert!((m[0].value - 18.0).abs() < 1e-9);
         assert!(store_metrics(&doc(r#"{"throughput": []}"#)).is_err());
+    }
+
+    #[test]
+    fn store_snapshot_size_may_not_rise_more_than_one_percent() {
+        let with_kib = |kib: f64| {
+            doc(&format!(
+                r#"{{"throughput": [
+                    {{"mode": "per_update_fsync", "updates_per_sec": 100}},
+                    {{"mode": "batched_fsync", "updates_per_sec": 1800}}
+                ], "recovery": [
+                    {{"wal_txns": 20, "snapshot_kib": 1.5}},
+                    {{"wal_txns": 60, "snapshot_kib": {kib}}}
+                ]}}"#
+            ))
+        };
+        let base = store_metrics(&with_kib(100.0)).unwrap();
+        assert_eq!(base.len(), 3);
+        let size = &base[2];
+        assert_eq!(size.label, "snapshot_kib[60 txns]");
+        assert!(size.size && (size.value - 100.0).abs() < 1e-9);
+        assert!(size.passes(100.0) && size.passes(101.0) && size.passes(40.0), "shrinking passes");
+        assert!(!size.passes(101.2), "a rise above 1 % fails");
+        // A throughput ratio keeps its factor-of-two floor.
+        assert!(base[0].passes(9.0) && !base[0].passes(8.9));
+        assert!(store_metrics(&doc(r#"{"throughput": [
+                {"mode": "per_update_fsync", "updates_per_sec": 100},
+                {"mode": "batched_fsync", "updates_per_sec": 1800}
+            ]}"#))
+        .is_err());
+        // End to end: the same throughput with a 2 % larger checkpoint fails.
+        let dir =
+            std::env::temp_dir().join(format!("strata_benchcheck_kib_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (b, f) = (dir.join("base.json"), dir.join("fresh.json"));
+        let src = |kib: f64| {
+            format!(
+                r#"{{"throughput": [
+                    {{"mode": "per_update_fsync", "updates_per_sec": 100}},
+                    {{"mode": "batched_fsync", "updates_per_sec": 1800}}
+                ], "recovery": [{{"wal_txns": 60, "snapshot_kib": {kib}}}]}}"#
+            )
+        };
+        std::fs::write(&b, src(100.0)).unwrap();
+        std::fs::write(&f, src(100.9)).unwrap();
+        assert!(check("store", b.to_str().unwrap(), f.to_str().unwrap()).unwrap());
+        std::fs::write(&f, src(102.0)).unwrap();
+        assert!(!check("store", b.to_str().unwrap(), f.to_str().unwrap()).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Durable maintenance: [`DurableEngine`] makes any engine's belief state —
-//! the model *and* the supports that justify it — survive restart.
+//! the model *and* the supports that justify it — survive restart, by
+//! persisting the program they are both functions of.
 //!
 //! ## Write path
 //!
@@ -20,19 +21,21 @@
 //!
 //! ## Recovery
 //!
-//! `open` = reconstruct (program, model) from the snapshot **chain** — the
-//! base snapshot plus any incremental delta patches (see
+//! `open` = reconstruct (program, model digest) from the snapshot **chain**
+//! — the base snapshot plus any incremental delta patches (see
 //! [`strata_store`]'s chain docs) — then consume the committed WAL suffix
 //! per the configured [`ReplayMode`]:
 //!
 //! * [`ReplayMode::Engine`] (default): rebuild the engine from the chain's
-//!   program, verify the rebuilt model against the chain's model, then
+//!   program, check the rebuilt model's digest against the chain's, then
 //!   replay each committed transaction through the engine's own decision
 //!   path. Engines are deterministic functions of (program, update
 //!   sequence), so replay reproduces the supports as well as the model.
 //! * [`ReplayMode::Bulk`]: fold the suffix directly into the program and
 //!   build the engine once — one saturation instead of per-transaction
-//!   incremental maintenance; lands the canonical belief state.
+//!   incremental maintenance; lands the canonical belief state. The digest
+//!   is checked only when the suffix is empty (otherwise the chain
+//!   describes an earlier state).
 //!
 //! ## Checkpoints and compaction
 //!
@@ -52,13 +55,34 @@
 //! (the live engine is untouched); recovery still lands the canonical
 //! state because it reconstructs the program and builds fresh.
 //!
-//! Either kind encodes the live state in one pass: relations by name,
-//! each relation's tuples by content, on slices borrowed from the model's
-//! arenas and the program's fact set ([`wire::sort_relations`]) — no fact
-//! is cloned to be written down. The support section of a full snapshot
-//! comes from [`MaintenanceEngine::support_dump`] and is **audit data**:
-//! recovery never reads it back (it rebuilds supports from the program);
-//! it is there so that a snapshot is a whole belief state one can inspect.
+//! ## Payload layouts
+//!
+//! A checkpoint writes only what recovery reads. The standard model and
+//! every strategy's supports are functions of the program, so the program
+//! is the recovery base and the model is recorded as a **digest** — per
+//! non-empty relation, its tuple count and the wrapping sum of a fixed
+//! 64-bit hash of each tuple's [`wire::put_tuple`] bytes — which the
+//! rebuilt engine must reproduce. The sum is order-free: the model is
+//! never sorted, only the relation names are.
+//!
+//! ```text
+//! full  v2 ::= program digests
+//! delta v2 ::= sections rules digests        changed relations only
+//! program  ::= count:u32 fact* rules         facts in canonical order
+//! rules    ::= count:u32 str*                slot order
+//! sections ::= count:u32 (name:str count:u32 fact*)*
+//! digests  ::= count:u32 (name:str tuples:u32 sum:u64)*   names ascending
+//! ```
+//!
+//! The layout version is the snapshot container's `version` word
+//! ([`strata_store::snapshot::VERSION`]); checkpoints always write v2.
+//! Stores written before it hold **v1** payloads — the full model as a
+//! fact list plus a support dump, and deltas whose model side carried the
+//! changed relations' tuples. [`decode_state_v1`] / [`decode_delta_v1`]
+//! read those into the same (program, digest) state by hashing the model
+//! facts as they are read, and stop before the support dump, so a v1 chain,
+//! or a v1 chain with v2 links on it, recovers. Every count in either
+//! layout is bounded by the bytes left before anything is sized from it.
 //! The `strata_checkpoint_encode_us` / `strata_checkpoint_write_us`
 //! histograms (`kind="full"|"delta"`) say where a checkpoint's time went.
 //!
@@ -74,11 +98,11 @@ use std::time::Instant;
 use rustc_hash::{FxHashMap, FxHashSet};
 use strata_datalog::wire::{self, Reader, WireError};
 use strata_datalog::{Database, Fact, Program, RelStamp, Rule, Symbol, Value};
-use strata_store::{CompactionPolicy, Durability, FaultInjector, Store};
+use strata_store::{CompactionPolicy, DeltaSnapshot, Durability, FaultInjector, Snapshot, Store};
 
 use crate::engine::{DurabilityStats, EngineBox, MaintenanceEngine, MaintenanceError, Update};
 use crate::stats::UpdateStats;
-use crate::support::{FactSupport, PairDump, SupportDump, WitnessDump};
+use crate::support::SupportDump;
 
 /// How recovery rebuilds the in-memory engine from the WAL suffix.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -467,7 +491,7 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, MaintenanceError> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot payload codec: program + model + support dump.
+// Snapshot payload codec: program + model digest.
 // ---------------------------------------------------------------------------
 
 /// The asserted facts of `program` grouped by relation, in canonical order
@@ -503,14 +527,12 @@ fn put_program(buf: &mut Vec<u8>, program: &Program) {
 
 fn get_program(r: &mut Reader<'_>) -> Result<Program, MaintenanceError> {
     let mut program = Program::new();
-    let nfacts = r.get_u32().map_err(storage_err)?;
+    let nfacts = r.get_count(wire::MIN_FACT_BYTES).map_err(storage_err)?;
     for _ in 0..nfacts {
         let f = r.get_fact().map_err(storage_err)?;
         program.assert_fact(f).map_err(|e| storage_err(format!("snapshot fact: {e}")))?;
     }
-    let nrules = r.get_u32().map_err(storage_err)?;
-    for _ in 0..nrules {
-        let text = r.get_str().map_err(storage_err)?;
+    for text in get_string_list(r).map_err(storage_err)? {
         let rule = Rule::parse(&text)
             .map_err(|e| storage_err(format!("unparseable rule in snapshot: {e}")))?;
         program.add_rule(rule).map_err(|e| storage_err(format!("snapshot rule: {e}")))?;
@@ -526,130 +548,168 @@ fn put_string_list(buf: &mut Vec<u8>, items: &[String]) {
 }
 
 fn get_string_list(r: &mut Reader<'_>) -> Result<Vec<String>, WireError> {
-    let n = r.get_u32()?;
+    let n = r.get_count(4)?;
     (0..n).map(|_| r.get_str()).collect()
 }
 
-fn put_pair_dump(buf: &mut Vec<u8>, p: &PairDump) {
-    put_string_list(buf, &p.pos);
-    put_string_list(buf, &p.pos_signed);
-    put_string_list(buf, &p.neg);
-    put_string_list(buf, &p.neg_signed);
+/// FNV-1a over `bytes`, then the splitmix64 finalizer: a fixed 64-bit hash,
+/// the same in every process and on every host — what a stored digest
+/// needs and `DefaultHasher` does not promise.
+fn tuple_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
-fn get_pair_dump(r: &mut Reader<'_>) -> Result<PairDump, WireError> {
-    Ok(PairDump {
-        pos: get_string_list(r)?,
-        pos_signed: get_string_list(r)?,
-        neg: get_string_list(r)?,
-        neg_signed: get_string_list(r)?,
-    })
+/// One model relation as a snapshot records it: its tuple count and the
+/// wrapping sum of a fixed hash of each tuple's [`wire::put_tuple`] bytes.
+/// The sum does not depend on tuple order, so no model is ever sorted to
+/// be written down or checked.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RelDigest {
+    /// Tuples in the relation.
+    pub tuples: u32,
+    /// Wrapping sum of the tuples' hashes.
+    pub sum: u64,
 }
 
-const SUP_SINGLE: u8 = 0;
-const SUP_MULTI: u8 = 1;
-const SUP_RULES: u8 = 2;
-const SUP_ENTRIES: u8 = 3;
+impl RelDigest {
+    /// Adds one tuple, given as its encoded bytes.
+    fn add(&mut self, tuple_bytes: &[u8]) {
+        self.tuples = self.tuples.wrapping_add(1);
+        self.sum = self.sum.wrapping_add(tuple_hash(tuple_bytes));
+    }
 
-fn put_support_dump(buf: &mut Vec<u8>, dump: &SupportDump) {
-    wire::put_u32(buf, dump.entries.len() as u32);
-    for (fact, support) in &dump.entries {
-        wire::put_fact(buf, fact);
-        match support {
-            FactSupport::Single(p) => {
-                buf.push(SUP_SINGLE);
-                put_pair_dump(buf, p);
-            }
-            FactSupport::Multi { asserted, pairs } => {
-                buf.push(SUP_MULTI);
-                buf.push(u8::from(*asserted));
-                wire::put_u32(buf, pairs.len() as u32);
-                for p in pairs {
-                    put_pair_dump(buf, p);
-                }
-            }
-            FactSupport::Rules { asserted, rules } => {
-                buf.push(SUP_RULES);
-                buf.push(u8::from(*asserted));
-                put_string_list(buf, rules);
-            }
-            FactSupport::Entries(entries) => {
-                buf.push(SUP_ENTRIES);
-                wire::put_u32(buf, entries.len() as u32);
-                for e in entries {
-                    put_string_list(buf, &e.pos);
-                    put_string_list(buf, &e.neg);
-                }
-            }
+    /// The digest of one relation's tuples; `scratch` holds each tuple's
+    /// bytes in turn.
+    fn of<'a>(
+        rel: Symbol,
+        tuples: impl Iterator<Item = &'a [Value]>,
+        scratch: &mut Vec<u8>,
+    ) -> RelDigest {
+        let mut d = RelDigest::default();
+        for t in tuples {
+            scratch.clear();
+            wire::put_tuple(scratch, rel, t);
+            d.add(scratch);
+        }
+        d
+    }
+}
+
+/// What a snapshot chain says the model is: a [`RelDigest`] per non-empty
+/// relation. An empty relation and an absent one are the same model, as
+/// under `Database`'s set equality, so empty digests are never kept.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ModelDigest(FxHashMap<Symbol, RelDigest>);
+
+impl ModelDigest {
+    /// The digest of `model`: one pass over its arenas, no sort.
+    pub fn of(model: &Database) -> ModelDigest {
+        let mut scratch = Vec::new();
+        let mut digest = ModelDigest::default();
+        for (rel, tuples) in model.relations() {
+            digest.set(rel, RelDigest::of(rel, tuples.iter(), &mut scratch));
+        }
+        digest
+    }
+
+    fn set(&mut self, rel: Symbol, digest: RelDigest) {
+        if digest.tuples == 0 {
+            self.0.remove(&rel);
+        } else {
+            self.0.insert(rel, digest);
         }
     }
 }
 
-fn get_support_dump(r: &mut Reader<'_>) -> Result<SupportDump, WireError> {
-    let n = r.get_u32()?;
-    let mut entries = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let fact = r.get_fact()?;
-        let support = match r.get_u8()? {
-            SUP_SINGLE => FactSupport::Single(get_pair_dump(r)?),
-            SUP_MULTI => {
-                let asserted = r.get_u8()? != 0;
-                let k = r.get_u32()?;
-                let pairs = (0..k).map(|_| get_pair_dump(r)).collect::<Result<_, _>>()?;
-                FactSupport::Multi { asserted, pairs }
-            }
-            SUP_RULES => {
-                let asserted = r.get_u8()? != 0;
-                FactSupport::Rules { asserted, rules: get_string_list(r)? }
-            }
-            SUP_ENTRIES => {
-                let k = r.get_u32()?;
-                let entries = (0..k)
-                    .map(|_| Ok(WitnessDump { pos: get_string_list(r)?, neg: get_string_list(r)? }))
-                    .collect::<Result<_, WireError>>()?;
-                FactSupport::Entries(entries)
-            }
-            _ => {
-                return Err(WireError { at: r.pos(), msg: "unknown support tag" });
-            }
-        };
-        entries.push((fact, support));
+/// The digest section: relations by name, so equal models write equal
+/// bytes. Only the names are sorted.
+fn put_digests(buf: &mut Vec<u8>, mut rels: Vec<(Symbol, RelDigest)>) {
+    rels.sort_unstable_by_key(|(rel, _)| rel.as_str());
+    wire::put_u32(buf, rels.len() as u32);
+    for (rel, d) in rels {
+        wire::put_str(buf, rel.as_str());
+        wire::put_u32(buf, d.tuples);
+        wire::put_u64(buf, d.sum);
     }
-    Ok(SupportDump { entries })
 }
 
-/// The decoded contents of a snapshot payload.
+fn get_digests(r: &mut Reader<'_>) -> Result<Vec<(Symbol, RelDigest)>, MaintenanceError> {
+    // name (at least its length word), tuple count, sum.
+    let n = r.get_count(4 + 4 + 8).map_err(storage_err)?;
+    let mut rels = Vec::with_capacity(n);
+    for _ in 0..n {
+        let rel = Symbol::new(&r.get_str().map_err(storage_err)?);
+        let tuples = r.get_u32().map_err(storage_err)?;
+        let sum = r.get_u64().map_err(storage_err)?;
+        rels.push((rel, RelDigest { tuples, sum }));
+    }
+    Ok(rels)
+}
+
+/// A v1 model list (`count fact*`, every fact in [`wire::put_tuple`]
+/// bytes) hashed as it is read, into `add(relation, tuple bytes)`.
+fn hash_v1_facts(
+    r: &mut Reader<'_>,
+    bytes: &[u8],
+    mut add: impl FnMut(Symbol, &[u8]),
+) -> Result<(), MaintenanceError> {
+    let n = r.get_count(wire::MIN_FACT_BYTES).map_err(storage_err)?;
+    for _ in 0..n {
+        let start = r.pos();
+        let f = r.get_fact().map_err(storage_err)?;
+        add(f.rel, &bytes[start..r.pos()]);
+    }
+    Ok(())
+}
+
+/// The decoded contents of a full snapshot payload.
 pub struct SnapshotState {
     /// The program (asserted EDB + rules) — the authoritative recovery base.
     pub program: Program,
-    /// The model at snapshot time, used as a recovery integrity check.
-    pub model: Database,
-    /// The per-fact support dump (audit; recovery rebuilds supports).
-    pub supports: SupportDump,
+    /// What the model was at snapshot time: the recovery integrity check.
+    pub model: ModelDigest,
 }
 
-/// Encodes the full belief state of `engine` into a snapshot payload.
-pub fn encode_state(engine: &dyn MaintenanceEngine) -> Vec<u8> {
+/// Encodes a full snapshot payload (layout v2): the program, then the
+/// model's digest. Supports are not written: every strategy's support
+/// state is a function of the program, and recovery rebuilds it.
+pub fn encode_state(program: &Program, model: &Database) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_program(&mut buf, engine.program());
-    let mut model = wire::database_relations(engine.model());
-    wire::sort_relations(&mut model);
-    wire::put_relations(&mut buf, &model);
-    put_support_dump(&mut buf, &engine.support_dump());
+    put_program(&mut buf, program);
+    put_digests(&mut buf, ModelDigest::of(model).0.into_iter().collect());
     buf
 }
 
-/// Decodes a snapshot payload.
+/// Decodes a full snapshot payload of layout v2.
 pub fn decode_state(bytes: &[u8]) -> Result<SnapshotState, MaintenanceError> {
     let mut r = Reader::new(bytes);
     let program = get_program(&mut r)?;
-    let mut model = Database::new();
-    r.get_store(&mut model).map_err(storage_err)?;
-    let supports = get_support_dump(&mut r).map_err(storage_err)?;
+    let mut model = ModelDigest::default();
+    for (rel, digest) in get_digests(&mut r)? {
+        model.set(rel, digest);
+    }
     if !r.is_at_end() {
         return Err(storage_err("trailing bytes in snapshot payload"));
     }
-    Ok(SnapshotState { program, model, supports })
+    Ok(SnapshotState { program, model })
+}
+
+/// Decodes a full snapshot payload of layout v1 (program, whole model,
+/// support dump) into the same state: the model section is hashed as it is
+/// read, and decoding stops there — the support dump was audit data that
+/// recovery never used.
+pub fn decode_state_v1(bytes: &[u8]) -> Result<SnapshotState, MaintenanceError> {
+    let mut r = Reader::new(bytes);
+    let program = get_program(&mut r)?;
+    let mut model = ModelDigest::default();
+    hash_v1_facts(&mut r, bytes, |rel, t| model.0.entry(rel).or_default().add(t))?;
+    Ok(SnapshotState { program, model })
 }
 
 // ---------------------------------------------------------------------------
@@ -659,20 +719,20 @@ pub fn decode_state(bytes: &[u8]) -> Result<SnapshotState, MaintenanceError> {
 /// The decoded contents of one delta-snapshot payload: a patch that
 /// transforms the previous chain state into the next.
 ///
-/// Each patch section carries **full replacements** for the relations that
+/// The program patch carries **full replacements** for the relations that
 /// changed since the previous link (an empty fact list removes the
 /// relation's contents); unchanged relations are simply absent, which is
 /// the whole saving. Rules are always carried in full — they are few, and
-/// rule-set changes don't map onto per-relation stamps. Deltas carry **no
-/// support section**: recovery rebuilds supports from the program (the
-/// dump in full snapshots is an audit artifact, not a recovery input).
+/// rule-set changes don't map onto per-relation stamps. The model side is
+/// the new digest of every model relation that changed.
 pub struct DeltaState {
     /// Per-relation replacement of the program's asserted facts.
     pub program_rels: Vec<(Symbol, Vec<Fact>)>,
     /// The complete rule list after this delta, in slot order.
     pub rules: Vec<String>,
-    /// Per-relation replacement of the model's extension.
-    pub model_rels: Vec<(Symbol, Vec<Fact>)>,
+    /// Per-relation replacement of the model's digest (an empty digest:
+    /// the relation is now empty).
+    pub model_rels: Vec<(Symbol, RelDigest)>,
 }
 
 fn put_rel_sections(buf: &mut Vec<u8>, sections: &[wire::RelTuples<'_>]) {
@@ -687,11 +747,12 @@ fn put_rel_sections(buf: &mut Vec<u8>, sections: &[wire::RelTuples<'_>]) {
 }
 
 fn get_rel_sections(r: &mut Reader<'_>) -> Result<Vec<(Symbol, Vec<Fact>)>, MaintenanceError> {
-    let n = r.get_u32().map_err(storage_err)?;
-    let mut sections = Vec::with_capacity(n as usize);
+    // name (at least its length word), fact count.
+    let n = r.get_count(4 + 4).map_err(storage_err)?;
+    let mut sections = Vec::with_capacity(n);
     for _ in 0..n {
         let rel = Symbol::new(&r.get_str().map_err(storage_err)?);
-        let k = r.get_u32().map_err(storage_err)?;
+        let k = r.get_count(wire::MIN_FACT_BYTES).map_err(storage_err)?;
         let facts =
             (0..k).map(|_| r.get_fact().map_err(storage_err)).collect::<Result<Vec<_>, _>>()?;
         sections.push((rel, facts));
@@ -699,48 +760,54 @@ fn get_rel_sections(r: &mut Reader<'_>) -> Result<Vec<(Symbol, Vec<Fact>)>, Main
     Ok(sections)
 }
 
-/// The delta layout, from borrowed sections: what [`encode_delta`] and the
-/// live checkpoint path ([`DurableEngine`]'s `write_delta`) both emit.
-fn encode_delta_sections(
-    program_rels: &[wire::RelTuples<'_>],
-    rules: &[String],
-    model_rels: &[wire::RelTuples<'_>],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_rel_sections(&mut buf, program_rels);
-    put_string_list(&mut buf, rules);
-    put_rel_sections(&mut buf, model_rels);
-    buf
-}
-
-/// Encodes a delta payload: [`decode_delta`]'s inverse, for tools and tests
-/// that hold an owned [`DeltaState`]. A checkpoint never builds one — it
-/// encodes sections borrowed from the live state — but both end in the one
-/// layout writer, so re-encoding a decoded link reproduces its bytes.
-pub fn encode_delta(delta: &DeltaState) -> Vec<u8> {
-    fn borrowed(sections: &[(Symbol, Vec<Fact>)]) -> Vec<wire::RelTuples<'_>> {
-        sections
-            .iter()
-            .map(|(rel, facts)| (*rel, facts.iter().map(|f| &*f.args).collect()))
-            .collect()
-    }
-    encode_delta_sections(
-        &borrowed(&delta.program_rels),
-        &delta.rules,
-        &borrowed(&delta.model_rels),
-    )
-}
-
-/// Decodes a delta payload.
+/// Decodes a delta payload of layout v2.
 pub fn decode_delta(bytes: &[u8]) -> Result<DeltaState, MaintenanceError> {
     let mut r = Reader::new(bytes);
     let program_rels = get_rel_sections(&mut r)?;
     let rules = get_string_list(&mut r).map_err(storage_err)?;
-    let model_rels = get_rel_sections(&mut r)?;
+    let model_rels = get_digests(&mut r)?;
     if !r.is_at_end() {
         return Err(storage_err("trailing bytes in delta payload"));
     }
     Ok(DeltaState { program_rels, rules, model_rels })
+}
+
+/// Decodes a delta payload of layout v1, whose model patch carried the
+/// changed relations' tuples: each is hashed into its digest as it is read.
+pub fn decode_delta_v1(bytes: &[u8]) -> Result<DeltaState, MaintenanceError> {
+    let mut r = Reader::new(bytes);
+    let program_rels = get_rel_sections(&mut r)?;
+    let rules = get_string_list(&mut r).map_err(storage_err)?;
+    let n = r.get_count(4 + 4).map_err(storage_err)?;
+    let mut model_rels = Vec::with_capacity(n);
+    for _ in 0..n {
+        let rel = Symbol::new(&r.get_str().map_err(storage_err)?);
+        let mut digest = RelDigest::default();
+        hash_v1_facts(&mut r, bytes, |_, t| digest.add(t))?;
+        model_rels.push((rel, digest));
+    }
+    if !r.is_at_end() {
+        return Err(storage_err("trailing bytes in delta payload"));
+    }
+    Ok(DeltaState { program_rels, rules, model_rels })
+}
+
+/// Decodes a base snapshot by the payload layout its container names.
+fn decode_base(snap: &Snapshot) -> Result<SnapshotState, MaintenanceError> {
+    match snap.version {
+        1 => decode_state_v1(&snap.payload),
+        2 => decode_state(&snap.payload),
+        v => Err(storage_err(format!("unsupported snapshot payload version {v}"))),
+    }
+}
+
+/// Decodes a chain link by the payload layout its container names.
+fn decode_link(link: &DeltaSnapshot) -> Result<DeltaState, MaintenanceError> {
+    match link.version {
+        1 => decode_delta_v1(&link.payload),
+        2 => decode_delta(&link.payload),
+        v => Err(storage_err(format!("unsupported delta payload version {v}"))),
+    }
 }
 
 /// Applies a delta's program patch: each carried relation's asserted facts
@@ -772,18 +839,16 @@ fn apply_delta_to_program(
     Ok(())
 }
 
-/// Applies a delta's model patch: each carried relation's extension is
-/// replaced wholesale.
-fn apply_delta_to_model(model: &mut Database, delta: &DeltaState) {
-    for (rel, facts) in &delta.model_rels {
-        let old: Vec<Fact> = model.facts_of(*rel).collect();
-        for f in &old {
-            model.remove(f);
-        }
-        for f in facts {
-            model.insert(f.clone());
-        }
+/// The recovery integrity check: the rebuilt engine's model must be the
+/// one the snapshot chain recorded.
+fn check_model(model: &Database, chain: &ModelDigest) -> Result<(), MaintenanceError> {
+    if ModelDigest::of(model) != *chain {
+        return Err(storage_err(
+            "snapshot integrity check failed: the rebuilt model's digest differs from the \
+             snapshot chain's",
+        ));
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -826,8 +891,10 @@ pub struct DurableEngine {
     /// auto-compaction policy thresholds on.
     replay_bytes_per_ms: u64,
     /// Per-relation model stamps recorded at the last checkpoint — the
-    /// stamp side of delta change detection.
-    last_stamps: FxHashMap<Symbol, RelStamp>,
+    /// stamp side of delta change detection. `None` marks a relation the
+    /// chain records but whose live stamp says nothing about that record
+    /// (after recovery replayed a WAL suffix): the next delta carries it.
+    last_stamps: FxHashMap<Symbol, Option<RelStamp>>,
     /// Relations named by fact updates since the last checkpoint — the
     /// program side of delta change detection. Stamps alone are not
     /// enough: asserting an already-derived fact changes the program
@@ -939,40 +1006,48 @@ impl DurableEngine {
             Store::open_with(&spec.dir, spec.fsync, faults).map_err(storage_err)?;
         let fresh = recovered.snapshot.is_none();
         // Reconstruct the chain state — base snapshot plus delta patches —
-        // as pure data. `model_check` tracks what the chain claims the
-        // model is; the rebuilt engine is verified against it.
-        let (mut program, mut model_check) = match recovered.snapshot {
+        // as pure data. `model_check` tracks what the chain says the model
+        // is; the rebuilt engine is verified against it.
+        let (mut program, mut model_check) = match &recovered.snapshot {
             Some(snap) => {
-                let state = decode_state(&snap.payload)?;
+                let state = decode_base(snap)?;
                 (state.program, Some(state.model))
             }
             None => (initial, None),
         };
-        for delta in &recovered.deltas {
-            let patch = decode_delta(&delta.payload)?;
+        for link in &recovered.deltas {
+            let patch = decode_link(link)?;
             apply_delta_to_program(&mut program, &patch)?;
             if let Some(model) = &mut model_check {
-                apply_delta_to_model(model, &patch);
+                for &(rel, digest) in &patch.model_rels {
+                    model.set(rel, digest);
+                }
             }
         }
         let committed_bytes: u64 =
             recovered.committed.iter().flat_map(|t| t.records.iter()).map(|r| r.len() as u64).sum();
+        // Program relations the WAL suffix names: the chain does not cover
+        // them, so the next delta must.
+        let mut suffix_rels = FxHashSet::default();
+        let mut decode = |record: &[u8]| {
+            let update = decode_update(record)?;
+            if let Update::InsertFact(f) | Update::DeleteFact(f) = crate::engine::normalize(&update)
+            {
+                suffix_rels.insert(f.rel);
+            }
+            Ok::<_, MaintenanceError>(update)
+        };
         let replay_start = Instant::now();
         let mut recovered_updates = 0u64;
         let inner = match spec.replay {
             ReplayMode::Engine => {
                 let mut inner = ctor(program)?;
                 if let Some(model) = &model_check {
-                    if inner.model() != model {
-                        return Err(storage_err(
-                            "snapshot integrity check failed: rebuilt model differs from the \
-                             snapshot chain's model",
-                        ));
-                    }
+                    check_model(inner.model(), model)?;
                 }
                 for txn in &recovered.committed {
                     let updates: Vec<Update> =
-                        txn.records.iter().map(|r| decode_update(r)).collect::<Result<_, _>>()?;
+                        txn.records.iter().map(|r| decode(r)).collect::<Result<_, _>>()?;
                     recovered_updates += updates.len() as u64;
                     // Replay through the entry point that produced the
                     // transaction: engines may override `apply_all` with a
@@ -1005,7 +1080,7 @@ impl DurableEngine {
                 // cover the suffix itself.
                 for txn in &recovered.committed {
                     for record in &txn.records {
-                        let update = decode_update(record)?;
+                        let update = decode(record)?;
                         recovered_updates += 1;
                         bulk_fold(&mut program, &update).map_err(|e| {
                             storage_err(format!(
@@ -1018,12 +1093,7 @@ impl DurableEngine {
                 let inner = ctor(program)?;
                 if recovered.committed.is_empty() {
                     if let Some(model) = &model_check {
-                        if inner.model() != model {
-                            return Err(storage_err(
-                                "snapshot integrity check failed: rebuilt model differs from \
-                                 the snapshot chain's model",
-                            ));
-                        }
+                        check_model(inner.model(), model)?;
                     }
                 }
                 inner
@@ -1051,6 +1121,16 @@ impl DurableEngine {
             engine.replay_bytes_per_ms = (committed_bytes / replay_ms).max(1);
         }
         engine.rebaseline();
+        if !recovered.committed.is_empty() {
+            // The live state is the chain's plus the replayed suffix, and
+            // the chain's tip is what the next delta patches: it must carry
+            // every model relation the chain records or the model now has
+            // (what the suffix moved is not traced back), and every program
+            // relation the suffix named.
+            let chain_rels = model_check.map(|m| m.0).unwrap_or_default();
+            engine.last_stamps = chain_rels.into_keys().map(|rel| (rel, None)).collect();
+            engine.dirty_rels = suffix_rels;
+        }
         let recovery_us = recovery_start.elapsed().as_micros() as u64;
         engine.recovery_ms = recovery_us / 1000;
         if fresh {
@@ -1080,7 +1160,7 @@ impl DurableEngine {
 
     fn write_snapshot(&mut self) -> Result<(), MaintenanceError> {
         let start = Instant::now();
-        let payload = encode_state(self.inner.as_ref());
+        let payload = encode_state(self.inner.program(), self.inner.model());
         let encoded = Instant::now();
         self.store.write_snapshot(&self.strategy, payload).map_err(storage_err)?;
         record_checkpoint("full", start, encoded);
@@ -1092,29 +1172,31 @@ impl DurableEngine {
     /// called after every checkpoint (full or delta) and at open.
     fn rebaseline(&mut self) {
         self.last_stamps =
-            self.inner.model().relations().map(|(sym, rel)| (sym, rel.stamp())).collect();
+            self.inner.model().relations().map(|(sym, rel)| (sym, Some(rel.stamp()))).collect();
         self.dirty_rels.clear();
     }
 
-    /// Encodes the patch since the last checkpoint: model relations whose
-    /// stamp moved, program relations an update touched, and the full rule
-    /// list — tuples borrowed from the live state, ordered as
-    /// [`encode_state`] orders them.
+    /// Encodes the patch since the last checkpoint (layout v2): program
+    /// relations an update touched, tuples borrowed from the live state and
+    /// ordered as [`encode_state`] orders them; the full rule list; and the
+    /// digest of every model relation whose stamp moved.
     fn encode_live_delta(&self) -> Vec<u8> {
-        let mut model_rels: Vec<wire::RelTuples<'_>> = self
-            .inner
-            .model()
-            .relations()
-            .filter(|(sym, rel)| self.last_stamps.get(sym) != Some(&rel.stamp()))
-            .map(|(sym, rel)| (sym, rel.iter().collect()))
-            .collect();
-        wire::sort_relations(&mut model_rels);
         let program = self.inner.program();
-        encode_delta_sections(
-            &program_relations(program, Some(&self.dirty_rels)),
-            &rule_texts(program),
-            &model_rels,
-        )
+        let mut buf = Vec::new();
+        put_rel_sections(&mut buf, &program_relations(program, Some(&self.dirty_rels)));
+        put_string_list(&mut buf, &rule_texts(program));
+        let model = self.inner.model();
+        let mut scratch = Vec::new();
+        let mut changed: Vec<(Symbol, RelDigest)> = model
+            .relations()
+            .filter(|(rel, tuples)| self.last_stamps.get(rel) != Some(&Some(tuples.stamp())))
+            .map(|(rel, tuples)| (rel, RelDigest::of(rel, tuples.iter(), &mut scratch)))
+            .collect();
+        // A recorded relation the model no longer has at all is now empty.
+        let gone = self.last_stamps.keys().filter(|&&rel| model.relation(rel).is_none());
+        changed.extend(gone.map(|&rel| (rel, RelDigest::default())));
+        put_digests(&mut buf, changed);
+        buf
     }
 
     /// Appends an incremental snapshot to the chain and empties the WAL.
@@ -1341,6 +1423,11 @@ mod tests {
         std::sync::Arc::new(|p| Ok(Box::new(CascadeEngine::new(p)?) as EngineBox))
     }
 
+    /// `rel`'s digest in `model` — the empty digest if it has no tuple.
+    fn rel_digest(model: &ModelDigest, rel: &str) -> RelDigest {
+        model.0.get(&Symbol::new(rel)).copied().unwrap_or_default()
+    }
+
     fn pods() -> Program {
         Program::parse(
             "submitted(1). submitted(2). accepted(2).
@@ -1426,16 +1513,66 @@ mod tests {
     #[test]
     fn state_codec_round_trips() {
         let engine = CascadeEngine::new(pods()).unwrap();
-        let bytes = encode_state(&engine);
+        let bytes = encode_state(engine.program(), engine.model());
         let state = decode_state(&bytes).unwrap();
-        assert_eq!(&state.model, engine.model());
-        assert_eq!(state.supports, engine.support_dump());
+        assert_eq!(state.model, ModelDigest::of(engine.model()));
+        assert_eq!(rel_digest(&state.model, "rejected").tuples, 1);
         assert_eq!(state.program.num_facts(), engine.program().num_facts());
         assert_eq!(state.program.num_rules(), engine.program().num_rules());
-        // Truncations are rejected, never misread.
-        for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
+        // Every truncation is rejected, never misread and never a panic.
+        for cut in 0..bytes.len() {
             assert!(decode_state(&bytes[..cut]).is_err(), "cut {cut}");
         }
+        let mut extra = bytes;
+        extra.push(0);
+        assert!(decode_state(&extra).is_err(), "trailing bytes rejected");
+    }
+
+    #[test]
+    fn model_digest_ignores_order_and_empty_relations() {
+        let facts = ["p(1)", "p(2)", "q(a, 1)", "q(b, 2)", "r(\"odd val\")"];
+        let db = |order: &[usize]| {
+            let mut db = Database::new();
+            for &i in order {
+                db.insert(Fact::parse(facts[i]).unwrap());
+            }
+            db
+        };
+        let forward = db(&[0, 1, 2, 3, 4]);
+        let mut backward = db(&[4, 3, 2, 1, 0]);
+        assert_eq!(ModelDigest::of(&forward), ModelDigest::of(&backward));
+        // A relation emptied in place is the relation never there.
+        let stray = Fact::parse("s(9)").unwrap();
+        backward.insert(stray.clone());
+        assert_ne!(ModelDigest::of(&forward), ModelDigest::of(&backward));
+        backward.remove(&stray);
+        assert_eq!(ModelDigest::of(&forward), ModelDigest::of(&backward));
+        // One tuple more or less, or a different tuple, moves the digest.
+        let mut other = db(&[0, 1, 2, 3]);
+        assert_ne!(ModelDigest::of(&forward), ModelDigest::of(&other));
+        other.insert(Fact::parse("r(\"odd val.\")").unwrap());
+        let (a, b) = (ModelDigest::of(&forward), ModelDigest::of(&other));
+        assert_eq!(rel_digest(&a, "r").tuples, rel_digest(&b, "r").tuples);
+        assert_ne!(rel_digest(&a, "r").sum, rel_digest(&b, "r").sum);
+        // The hash is fixed: a digest written by one process is read by all.
+        let mut p7 = Vec::new();
+        wire::put_tuple(&mut p7, Symbol::new("p"), &[Value::Int(7)]);
+        assert_eq!(tuple_hash(&p7), 0xcb0d_004e_905c_ab52);
+    }
+
+    #[test]
+    fn a_corrupt_count_is_an_error_not_an_allocation() {
+        let mut payload = u32::MAX.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0; 16]);
+        assert!(decode_state(&payload).is_err());
+        assert!(decode_delta(&payload).is_err());
+        assert!(decode_state_v1(&payload).is_err());
+        assert!(decode_delta_v1(&payload).is_err());
+        // The same count anywhere later in a payload: here, the rule list.
+        let mut payload = 0u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_state(&payload).is_err());
+        assert!(decode_delta(&payload).is_err());
     }
 
     #[test]
@@ -1540,28 +1677,75 @@ mod tests {
 
     #[test]
     fn delta_codec_round_trips() {
-        let delta = DeltaState {
-            program_rels: vec![
-                (
-                    Symbol::new("p"),
-                    vec![Fact::parse("p(1)").unwrap(), Fact::parse("p(\"odd val\")").unwrap()],
-                ),
-                (Symbol::new("q"), vec![]),
-            ],
-            rules: vec!["r(X) :- p(X), !q(X).".to_string()],
-            model_rels: vec![(Symbol::new("r"), vec![Fact::parse("r(1)").unwrap()])],
-        };
-        let bytes = encode_delta(&delta);
+        let dir = tmpdir("delta_codec");
+        let mut spec = WalSpec::new(&dir);
+        spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
+        let mut e =
+            DurableEngine::open_spec(&spec, "cascade", cascade_ctor(), pods(), None).unwrap();
+        e.insert_fact(Fact::parse("accepted(1)").unwrap()).unwrap();
+        e.insert_fact(Fact::parse("submitted(\"odd val\")").unwrap()).unwrap();
+        assert!(e.checkpoint().unwrap());
+        let link = DeltaSnapshot::read(&dir.join("snapshot.delta-1")).unwrap().unwrap();
+        assert_eq!(link.version, strata_store::snapshot::VERSION);
+        let bytes = link.payload;
         let back = decode_delta(&bytes).unwrap();
-        assert_eq!(back.program_rels, delta.program_rels);
-        assert_eq!(back.rules, delta.rules);
-        assert_eq!(back.model_rels, delta.model_rels);
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        let names = |rels: Vec<Symbol>| rels.iter().map(|r| r.as_str()).collect::<Vec<_>>();
+        assert_eq!(
+            names(back.program_rels.iter().map(|(rel, _)| *rel).collect()),
+            ["accepted", "submitted"]
+        );
+        assert_eq!(back.rules, rule_texts(e.program()));
+        // `rejected` lost its only tuple: the patch says so with an empty
+        // digest; every changed relation's digest is the live one.
+        let live = ModelDigest::of(e.model());
+        assert_eq!(
+            names(back.model_rels.iter().map(|(rel, _)| *rel).collect()),
+            ["accepted", "rejected", "submitted"]
+        );
+        for (rel, digest) in &back.model_rels {
+            assert_eq!(*digest, rel_digest(&live, rel.as_str()), "{rel}");
+        }
+        assert_eq!(rel_digest(&live, "rejected").tuples, 1, "rejected(\"odd val\")");
+        for cut in 0..bytes.len() {
             assert!(decode_delta(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let mut extra = bytes;
         extra.push(0);
         assert!(decode_delta(&extra).is_err(), "trailing bytes rejected");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delta_after_recovering_a_wal_suffix_covers_the_suffix() {
+        for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
+            let dir = tmpdir(&format!("suffix_then_delta_{replay}"));
+            let mut spec = WalSpec::new(&dir);
+            spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
+            spec.replay = replay;
+            let model = {
+                let mut e =
+                    DurableEngine::open_spec(&spec, "cascade", cascade_ctor(), pods(), None)
+                        .unwrap();
+                e.insert_fact(Fact::parse("accepted(1)").unwrap()).unwrap();
+                e.delete_fact(Fact::parse("submitted(2)").unwrap()).unwrap();
+                e.model().sorted_facts()
+            }; // a WAL suffix and no checkpoint
+            let mut e =
+                DurableEngine::open_spec(&spec, "cascade", cascade_ctor(), Program::new(), None)
+                    .unwrap();
+            assert_eq!(e.durability().unwrap().recovered_txns, 2, "{replay}");
+            // The first checkpoint after recovery is a delta on the chain
+            // the suffix was replayed onto: it must carry the suffix.
+            assert!(e.checkpoint().unwrap());
+            assert_eq!(e.wal_bytes(), 0);
+            drop(e);
+            let e =
+                DurableEngine::open_spec(&spec, "cascade", cascade_ctor(), Program::new(), None)
+                    .unwrap();
+            assert_eq!(e.durability().unwrap().snapshot_chain_len, 1, "{replay}");
+            assert_eq!(e.model().sorted_facts(), model, "{replay}: nothing the WAL held is lost");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

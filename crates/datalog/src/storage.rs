@@ -20,16 +20,11 @@ use crate::term::Value;
 /// A stored tuple.
 pub type TupleData = Box<[Value]>;
 
-/// The storage abstraction the persistence layer programs against: a
-/// mutable set of ground facts.
+/// A mutable set of ground facts.
 ///
 /// [`Database`] is the default, in-memory implementation (row arenas with
-/// per-column indexes). A durable backend materializes recovered state into
-/// any `TupleStore` without knowing how tuples are laid out. (The snapshot
-/// *writer* does know: it borrows a `Database`'s arenas directly —
-/// [`crate::wire::database_relations`] — so a checkpoint clones no fact.)
-/// Method names carry a `_fact` suffix so the trait can coexist with
-/// `Database`'s richer inherent API.
+/// per-column indexes). Method names carry a `_fact` suffix so the trait
+/// can coexist with `Database`'s richer inherent API.
 pub trait TupleStore {
     /// Inserts a fact; returns `true` if it was new.
     fn insert_fact(&mut self, fact: Fact) -> bool;

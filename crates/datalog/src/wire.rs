@@ -20,7 +20,6 @@
 //! ```
 
 use crate::atom::Fact;
-use crate::storage::{Database, TupleStore};
 use crate::symbol::Symbol;
 use crate::term::Value;
 
@@ -102,12 +101,6 @@ pub fn put_fact(buf: &mut Vec<u8>, f: &Fact) {
 /// One relation's tuples, borrowed from wherever they are stored.
 pub type RelTuples<'a> = (Symbol, Vec<&'a [Value]>);
 
-/// Every relation of `db` with its live tuples, borrowed from the arenas
-/// (order unspecified; see [`sort_relations`]).
-pub fn database_relations(db: &Database) -> Vec<RelTuples<'_>> {
-    db.relations().map(|(sym, rel)| (sym, rel.iter().collect())).collect()
-}
-
 /// Puts `rels` into the canonical order of persisted state: relations by
 /// name, each relation's tuples by [`tuple_wire_cmp`]. Flattened, that is
 /// exactly the [`fact_wire_cmp`] order — identical states serialize to
@@ -121,7 +114,7 @@ pub fn sort_relations(rels: &mut [RelTuples<'_>]) {
 }
 
 /// Appends every tuple of `rels` as a count-prefixed fact list, in the order
-/// given — the layout [`Reader::get_store`] reads back.
+/// given.
 pub fn put_relations(buf: &mut Vec<u8>, rels: &[RelTuples<'_>]) {
     let count: usize = rels.iter().map(|(_, tuples)| tuples.len()).sum();
     put_u32(buf, u32::try_from(count).expect("too many facts for wire format"));
@@ -134,7 +127,7 @@ pub fn put_relations(buf: &mut Vec<u8>, rels: &[RelTuples<'_>]) {
 
 /// A process-independent total order on values: integers (numeric) before
 /// symbols (by name). Allocation-free and lock-free — this runs inside the
-/// sort of every snapshot and support dump.
+/// sort of every snapshot program section and support dump.
 pub fn value_wire_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
@@ -167,6 +160,10 @@ pub fn fact_wire_cmp(a: &Fact, b: &Fact) -> std::cmp::Ordering {
     }
     tuple_wire_cmp(&a.args, &b.args)
 }
+
+/// The fewest bytes one encoded fact takes: an empty relation name and a
+/// zero arity.
+pub const MIN_FACT_BYTES: usize = 8;
 
 /// A cursor over encoded bytes.
 pub struct Reader<'a> {
@@ -224,6 +221,18 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a `u32` element count for a list whose elements take at least
+    /// `min_item` bytes each, refusing a count that could not fit in the
+    /// input left: a corrupt count fails here, before anything is sized
+    /// from it.
+    pub fn get_count(&mut self, min_item: usize) -> Result<usize, WireError> {
+        let n = self.get_u32()? as usize;
+        if n.saturating_mul(min_item.max(1)) > self.buf.len() - self.pos {
+            return Err(self.err("count exceeds remaining input"));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
         let len = self.get_u32()? as usize;
@@ -261,22 +270,17 @@ impl<'a> Reader<'a> {
         }
         Ok(Fact::new(rel.as_str(), args))
     }
-
-    /// Reads a count-prefixed fact list into `store`; returns the count.
-    pub fn get_store(&mut self, store: &mut dyn TupleStore) -> Result<usize, WireError> {
-        let n = self.get_u32()? as usize;
-        for _ in 0..n {
-            let f = self.get_fact()?;
-            store.insert_fact(f);
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::parse_facts;
+    use crate::storage::{parse_facts, Database};
+
+    /// Every relation of `db` with its live tuples, borrowed from the arenas.
+    fn database_relations(db: &Database) -> Vec<RelTuples<'_>> {
+        db.relations().map(|(sym, rel)| (sym, rel.iter().collect())).collect()
+    }
 
     #[test]
     fn scalars_round_trip() {
@@ -315,8 +319,10 @@ mod tests {
         let db = Database::from_facts(parse_facts("e(1, 2). e(2, 3). p(a)."));
         let mut buf = Vec::new();
         put_store(&mut buf, &db);
-        let mut out = Database::new();
-        assert_eq!(Reader::new(&buf).get_store(&mut out).unwrap(), 3);
+        let mut r = Reader::new(&buf);
+        let n = r.get_count(MIN_FACT_BYTES).unwrap();
+        let out = Database::from_facts((0..n).map(|_| r.get_fact().unwrap()));
+        assert!(r.is_at_end());
         assert_eq!(out, db);
         // Identical state ⇒ identical bytes, regardless of insertion order.
         let db2 = Database::from_facts(parse_facts("p(a). e(2, 3). e(1, 2)."));
@@ -385,6 +391,14 @@ mod tests {
         put_str(&mut bad, "p");
         put_u32(&mut bad, u32::MAX);
         assert!(Reader::new(&bad).get_fact().is_err());
+        // So must a corrupt element count.
+        let mut r = Reader::new(&[0xff, 0xff, 0xff, 0xff, 0]);
+        assert!(r.get_count(1).is_err());
+        let mut ok = Vec::new();
+        put_u32(&mut ok, 2);
+        ok.extend_from_slice(&[0; 8]);
+        assert_eq!(Reader::new(&ok).get_count(4).unwrap(), 2);
+        assert!(Reader::new(&ok).get_count(5).is_err(), "2 × 5 bytes do not fit in 8");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //!
 //! The store is deliberately **content-agnostic**: WAL data records and
 //! snapshot payloads are opaque byte strings. The maintenance layer
-//! (`strata_core::durable`) owns their encoding — updates, the program,
-//! the model, and the per-fact support dump — through the
-//! `strata_datalog::wire` codec. This keeps the crate dependency order
-//! acyclic (`store` sits below `core`) and the file formats reusable.
+//! (`strata_core::durable`) owns their encoding — updates, the program
+//! and a per-relation digest of the model — through the
+//! `strata_datalog::wire` codec; the store only stamps each snapshot file
+//! with the payload layout's version ([`snapshot::VERSION`]) and hands it
+//! back on read. This keeps the crate dependency order acyclic (`store`
+//! sits below `core`) and the file formats reusable.
 //!
 //! ## On-disk layout
 //!
@@ -401,7 +403,7 @@ impl Store {
             }
         }
         let seq = self.next_seq - 1;
-        let snap = Snapshot { seq, meta: meta.to_string(), payload };
+        let snap = Snapshot { version: snapshot::VERSION, seq, meta: meta.to_string(), payload };
         snap.write_atomic(&self.dir.join(SNAPSHOT_FILE))?;
         remove_deltas_from(&self.dir, 1);
         self.snapshot_seq = seq;
@@ -421,8 +423,13 @@ impl Store {
         if seq == self.snapshot_seq {
             return Ok(());
         }
-        let delta =
-            DeltaSnapshot { seq, prev_seq: self.snapshot_seq, meta: meta.to_string(), payload };
+        let delta = DeltaSnapshot {
+            version: snapshot::VERSION,
+            seq,
+            prev_seq: self.snapshot_seq,
+            meta: meta.to_string(),
+            payload,
+        };
         delta.write_atomic(&delta_path(&self.dir, self.chain_len + 1))?;
         if let Some(f) = &self.faults {
             if f.fires(FaultPoint::SnapshotDelta).is_some() {
@@ -546,7 +553,7 @@ mod tests {
             let seq = store.begin(&[b"covered".to_vec()], 0);
             store.commit(seq).unwrap();
         }
-        Snapshot { seq: 1, meta: "m".into(), payload: b"p".to_vec() }
+        Snapshot { version: snapshot::VERSION, seq: 1, meta: "m".into(), payload: b"p".to_vec() }
             .write_atomic(&dir.join(SNAPSHOT_FILE))
             .unwrap();
         let (mut store, rec) = Store::open(&dir, Durability::Fsync).unwrap();
@@ -616,9 +623,14 @@ mod tests {
             store.commit(seq).unwrap();
             store.write_delta_snapshot("m", b"d1".to_vec()).unwrap();
         }
-        Snapshot { seq: 5, meta: "m".into(), payload: b"newbase".to_vec() }
-            .write_atomic(&dir.join(SNAPSHOT_FILE))
-            .unwrap();
+        Snapshot {
+            version: snapshot::VERSION,
+            seq: 5,
+            meta: "m".into(),
+            payload: b"newbase".to_vec(),
+        }
+        .write_atomic(&dir.join(SNAPSHOT_FILE))
+        .unwrap();
         let (store, rec) = Store::open(&dir, Durability::Fsync).unwrap();
         assert!(rec.deltas.is_empty(), "stale delta not replayed");
         assert_eq!(store.snapshot_seq(), 5);
@@ -637,9 +649,15 @@ mod tests {
         }
         // A delta claiming coverage beyond the (absent) base on a prev it
         // never had: no crash ordering produces this.
-        DeltaSnapshot { seq: 9, prev_seq: 7, meta: "m".into(), payload: vec![] }
-            .write_atomic(&delta_path(&dir, 1))
-            .unwrap();
+        DeltaSnapshot {
+            version: snapshot::VERSION,
+            seq: 9,
+            prev_seq: 7,
+            meta: "m".into(),
+            payload: vec![],
+        }
+        .write_atomic(&delta_path(&dir, 1))
+        .unwrap();
         match Store::open(&dir, Durability::Fsync) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("chain broken"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),

@@ -23,8 +23,15 @@
 //!
 //! `meta` is a short UTF-8 string (the engine strategy that wrote the
 //! snapshot); `payload` is opaque to the store — the maintenance layer
-//! encodes the program, the model, and the per-fact support dump into it.
+//! encodes the program and a per-relation digest of the model into it.
 //! Both are [`crate::frame`] frames, so each carries its own CRC-32.
+//!
+//! `version` names the payload's layout, so a reader never has to guess it
+//! from the bytes. The store writes [`VERSION`] and reads every version
+//! from 1 up to it; the decoded [`Snapshot::version`] /
+//! [`DeltaSnapshot::version`] tells the maintenance layer which decoder a
+//! link needs. Version 1 payloads carried the whole model and a support
+//! dump; version 2 carries only what recovery reads.
 //!
 //! Writes go to a temp file in the same directory, are fsynced, and then
 //! renamed over the live name — readers see either the old snapshot or the
@@ -38,7 +45,13 @@ use std::path::{Path, PathBuf};
 
 use crate::frame::{read_frame, write_frame_to, FrameRead, MAX_FRAME_LEN};
 
-const VERSION: u32 = 1;
+/// The container version this crate writes: payload layout v2 (the
+/// program plus a per-relation model digest).
+pub const VERSION: u32 = 2;
+
+/// The oldest container version still read: payload layout v1 (the
+/// program, the whole model and a support dump).
+const OLDEST_VERSION: u32 = 1;
 
 /// What tells the two containers apart: the magic, and the words a corrupt
 /// file is reported in — a recovery error names whether the base snapshot
@@ -76,6 +89,10 @@ const DELTA: Kind = Kind {
 /// A decoded snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
+    /// The payload layout version ([`VERSION`] for every file
+    /// [`crate::Store`] writes; older ones come from stores written before
+    /// it).
+    pub version: u32,
     /// The WAL sequence number this snapshot covers: recovery replays only
     /// transactions with `seq` greater than this.
     pub seq: u64,
@@ -124,13 +141,13 @@ fn write_container(
     write_frame_to(out, payload)
 }
 
-/// A parsed container: its `N` sequence numbers, the meta string, and the
-/// payload (as a range of the input, or owned).
-type Container<const N: usize, P> = ([u64; N], String, P);
+/// A parsed container: its version, its `N` sequence numbers, the meta
+/// string, and the payload (as a range of the input, or owned).
+type Container<const N: usize, P> = (u32, [u64; N], String, P);
 
 /// Validates a container of the given `kind` whose header holds `N`
-/// sequence numbers; returns them, the meta string, and where the payload
-/// sits in `bytes` (its frame's CRC already checked).
+/// sequence numbers; returns its version, them, the meta string, and where
+/// the payload sits in `bytes` (its frame's CRC already checked).
 fn parse_container<const N: usize>(
     bytes: &[u8],
     kind: &Kind,
@@ -140,7 +157,7 @@ fn parse_container<const N: usize>(
         return Err(SnapshotError::Corrupt(kind.bad_magic));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION {
+    if !(OLDEST_VERSION..=VERSION).contains(&version) {
         return Err(SnapshotError::Corrupt(kind.bad_version));
     }
     let mut seqs = [0u64; N];
@@ -159,7 +176,7 @@ fn parse_container<const N: usize>(
     if end != bytes.len() {
         return Err(SnapshotError::Corrupt(kind.trailing));
     }
-    Ok((seqs, meta, next + 4..next + 4 + payload.len()))
+    Ok((version, seqs, meta, next + 4..next + 4 + payload.len()))
 }
 
 /// Reads and validates the container at `path`; `Ok(None)` if the file does
@@ -175,17 +192,17 @@ fn read_container<const N: usize>(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let (seqs, meta, payload) = parse_container(&bytes, kind)?;
+    let (version, seqs, meta, payload) = parse_container(&bytes, kind)?;
     bytes.truncate(payload.end);
     bytes.drain(..payload.start);
-    Ok(Some((seqs, meta, bytes)))
+    Ok(Some((version, seqs, meta, bytes)))
 }
 
 impl Snapshot {
     fn header(&self) -> [u8; 16] {
         let mut h = [0u8; 16];
         h[..4].copy_from_slice(FULL.magic);
-        h[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        h[4..8].copy_from_slice(&self.version.to_le_bytes());
         h[8..].copy_from_slice(&self.seq.to_le_bytes());
         h
     }
@@ -200,8 +217,8 @@ impl Snapshot {
 
     /// Decodes a snapshot from file bytes.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let ([seq], meta, payload) = parse_container(bytes, &FULL)?;
-        Ok(Snapshot { seq, meta, payload: bytes[payload].to_vec() })
+        let (version, [seq], meta, payload) = parse_container(bytes, &FULL)?;
+        Ok(Snapshot { version, seq, meta, payload: bytes[payload].to_vec() })
     }
 
     /// Writes the snapshot to `path` atomically: temp file in the same
@@ -216,7 +233,8 @@ impl Snapshot {
 
     /// Reads the snapshot at `path`; `Ok(None)` if the file does not exist.
     pub fn read(path: &Path) -> Result<Option<Snapshot>, SnapshotError> {
-        Ok(read_container(path, &FULL)?.map(|([seq], meta, payload)| Snapshot {
+        Ok(read_container(path, &FULL)?.map(|(version, [seq], meta, payload)| Snapshot {
+            version,
             seq,
             meta,
             payload,
@@ -227,6 +245,8 @@ impl Snapshot {
 /// A decoded incremental snapshot: one link of a delta chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSnapshot {
+    /// The payload layout version, as for [`Snapshot::version`].
+    pub version: u32,
     /// The WAL sequence number this link extends coverage to.
     pub seq: u64,
     /// The `seq` of the chain link this delta builds on (the base
@@ -242,7 +262,7 @@ impl DeltaSnapshot {
     fn header(&self) -> [u8; 24] {
         let mut h = [0u8; 24];
         h[..4].copy_from_slice(DELTA.magic);
-        h[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        h[4..8].copy_from_slice(&self.version.to_le_bytes());
         h[8..16].copy_from_slice(&self.seq.to_le_bytes());
         h[16..].copy_from_slice(&self.prev_seq.to_le_bytes());
         h
@@ -258,8 +278,8 @@ impl DeltaSnapshot {
 
     /// Decodes a delta from file bytes.
     pub fn decode(bytes: &[u8]) -> Result<DeltaSnapshot, SnapshotError> {
-        let ([seq, prev_seq], meta, payload) = parse_container(bytes, &DELTA)?;
-        Ok(DeltaSnapshot { seq, prev_seq, meta, payload: bytes[payload].to_vec() })
+        let (version, [seq, prev_seq], meta, payload) = parse_container(bytes, &DELTA)?;
+        Ok(DeltaSnapshot { version, seq, prev_seq, meta, payload: bytes[payload].to_vec() })
     }
 
     /// Writes the delta to `path` atomically (same temp/fsync/rename dance
@@ -270,11 +290,8 @@ impl DeltaSnapshot {
 
     /// Reads the delta at `path`; `Ok(None)` if the file does not exist.
     pub fn read(path: &Path) -> Result<Option<DeltaSnapshot>, SnapshotError> {
-        Ok(read_container(path, &DELTA)?.map(|([seq, prev_seq], meta, payload)| DeltaSnapshot {
-            seq,
-            prev_seq,
-            meta,
-            payload,
+        Ok(read_container(path, &DELTA)?.map(|(version, [seq, prev_seq], meta, payload)| {
+            DeltaSnapshot { version, seq, prev_seq, meta, payload }
         }))
     }
 }
@@ -334,7 +351,12 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let s = Snapshot { seq: 42, meta: "cascade".into(), payload: vec![1, 2, 3, 0, 255] };
+        let s = Snapshot {
+            version: VERSION,
+            seq: 42,
+            meta: "cascade".into(),
+            payload: vec![1, 2, 3, 0, 255],
+        };
         assert_eq!(Snapshot::decode(&s.encode()).unwrap(), s);
     }
 
@@ -343,7 +365,12 @@ mod tests {
         let dir = tmpdir("rw");
         let path = dir.join("snapshot.snap");
         assert!(Snapshot::read(&path).unwrap().is_none());
-        let s = Snapshot { seq: 7, meta: "static".into(), payload: b"state".to_vec() };
+        let s = Snapshot {
+            version: VERSION,
+            seq: 7,
+            meta: "static".into(),
+            payload: b"state".to_vec(),
+        };
         s.write_atomic(&path).unwrap();
         assert_eq!(Snapshot::read(&path).unwrap(), Some(s.clone()));
         // Overwrite is atomic: the temp file never lingers.
@@ -360,12 +387,17 @@ mod tests {
 
     #[test]
     fn delta_encode_decode_round_trip() {
-        let d =
-            DeltaSnapshot { seq: 99, prev_seq: 42, meta: "cascade".into(), payload: vec![9, 8, 7] };
+        let d = DeltaSnapshot {
+            version: VERSION,
+            seq: 99,
+            prev_seq: 42,
+            meta: "cascade".into(),
+            payload: vec![9, 8, 7],
+        };
         assert_eq!(DeltaSnapshot::decode(&d.encode()).unwrap(), d);
         // The two containers never decode as each other.
         assert!(Snapshot::decode(&d.encode()).is_err());
-        let s = Snapshot { seq: 42, meta: "cascade".into(), payload: vec![1] };
+        let s = Snapshot { version: VERSION, seq: 42, meta: "cascade".into(), payload: vec![1] };
         assert!(DeltaSnapshot::decode(&s.encode()).is_err());
     }
 
@@ -374,8 +406,13 @@ mod tests {
         let dir = tmpdir("delta_rw");
         let path = dir.join("snapshot.delta-1");
         assert!(DeltaSnapshot::read(&path).unwrap().is_none());
-        let d =
-            DeltaSnapshot { seq: 5, prev_seq: 3, meta: "static".into(), payload: b"d".to_vec() };
+        let d = DeltaSnapshot {
+            version: VERSION,
+            seq: 5,
+            prev_seq: 3,
+            meta: "static".into(),
+            payload: b"d".to_vec(),
+        };
         d.write_atomic(&path).unwrap();
         assert_eq!(DeltaSnapshot::read(&path).unwrap(), Some(d.clone()));
         assert!(!dir.join("snapshot.delta-1.tmp").exists(), "temp file never lingers");
@@ -389,7 +426,7 @@ mod tests {
 
     #[test]
     fn version_and_magic_checked() {
-        let s = Snapshot { seq: 1, meta: String::new(), payload: vec![] };
+        let s = Snapshot { version: VERSION, seq: 1, meta: String::new(), payload: vec![] };
         let mut bytes = s.encode();
         bytes[0] = b'X';
         assert!(matches!(Snapshot::decode(&bytes), Err(SnapshotError::Corrupt("bad magic"))));
@@ -402,14 +439,40 @@ mod tests {
     }
 
     #[test]
+    fn every_supported_version_is_read_back_as_written() {
+        for version in OLDEST_VERSION..=VERSION {
+            let s = Snapshot { version, seq: 3, meta: "m".into(), payload: vec![7] };
+            let bytes = s.encode();
+            assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), version);
+            assert_eq!(Snapshot::decode(&bytes).unwrap(), s);
+            let d =
+                DeltaSnapshot { version, seq: 4, prev_seq: 3, meta: "m".into(), payload: vec![] };
+            assert_eq!(DeltaSnapshot::decode(&d.encode()).unwrap(), d);
+        }
+        for version in [0, OLDEST_VERSION - 1, VERSION + 1] {
+            let bytes = Snapshot { version, seq: 3, meta: "m".into(), payload: vec![] }.encode();
+            assert!(matches!(
+                Snapshot::decode(&bytes),
+                Err(SnapshotError::Corrupt("unsupported version"))
+            ));
+        }
+    }
+
+    #[test]
     fn a_corrupt_chain_link_is_reported_as_a_delta() {
         let msg = |bytes: &[u8]| match DeltaSnapshot::decode(bytes) {
             Err(SnapshotError::Corrupt(msg)) => msg,
             other => panic!("expected a corrupt delta, got {other:?}"),
         };
-        let d = DeltaSnapshot { seq: 5, prev_seq: 3, meta: "m".into(), payload: vec![1, 2] };
+        let d = DeltaSnapshot {
+            version: VERSION,
+            seq: 5,
+            prev_seq: 3,
+            meta: "m".into(),
+            payload: vec![1, 2],
+        };
         let good = d.encode();
-        let s = Snapshot { seq: 5, meta: "m".into(), payload: vec![1, 2] };
+        let s = Snapshot { version: VERSION, seq: 5, meta: "m".into(), payload: vec![1, 2] };
         assert_eq!(msg(&s.encode()), "bad delta magic");
         let mut bytes = good.clone();
         bytes[4] = 99;

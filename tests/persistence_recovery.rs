@@ -11,11 +11,13 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use stratamaint::core::durable::encode_state;
 use stratamaint::core::durable::{DurableEngine, EngineCtor, ReplayMode, SnapshotMode, WalSpec};
 use stratamaint::core::registry::{EngineRegistry, RegistryError};
 use stratamaint::core::{MaintenanceEngine, StorageSpec, SupportDump, Update};
+use stratamaint::datalog::wire::{put_u32, Reader};
 use stratamaint::datalog::{Fact, Program, Rule};
-use stratamaint::store::{DeltaSnapshot, Durability, Snapshot, SNAPSHOT_FILE, WAL_FILE};
+use stratamaint::store::{DeltaSnapshot, Durability, Snapshot, Store, SNAPSHOT_FILE, WAL_FILE};
 use stratamaint::workload::script::{random_fact_script, ScriptConfig};
 use stratamaint::workload::synth::{self, RandomConfig};
 
@@ -279,22 +281,29 @@ fn every_wal_byte_across_a_delta_snapshot_write_recovers_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs the history that `tests/fixtures/parent_store` records — written
-/// there by the commit before the single-pass snapshot encoder, the
-/// streaming container writer and the sliced CRC — against a store at
-/// `dir`, leaving a base snapshot, one delta link and a WAL suffix.
-fn write_fixture_history(dir: &Path) -> DurableEngine {
-    let program = Program::parse(
+/// The program `write_fixture_history` starts from.
+fn fixture_program() -> Program {
+    Program::parse(
         "submitted(1). submitted(2). submitted(\"odd name.\"). accepted(2).
          author(alice, 1). author(bob, 2). author(bob, \"odd name.\"). pc_member(bob).
          rejected(X) :- submitted(X), !accepted(X).
          conflicted(P) :- author(A, P), pc_member(A).",
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Runs the history that `tests/fixtures/parent_store` records — written
+/// there by the commit before the single-pass snapshot encoder, the
+/// streaming container writer and the sliced CRC — against a store at
+/// `dir`, leaving a base snapshot, one delta link and a WAL suffix.
+/// `tests/fixtures/v2_store` holds the base and link this code writes for
+/// it (the WAL is `parent_store`'s, which did not change).
+fn write_fixture_history(dir: &Path) -> DurableEngine {
     let mut spec = WalSpec::new(dir);
     spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
     let mut e =
-        DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), program, None).unwrap();
+        DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), fixture_program(), None)
+            .unwrap();
     let fact = |s: &str| Fact::parse(s).unwrap();
     e.apply_all(&[
         Update::InsertFact(fact("accepted(1)")),
@@ -309,39 +318,219 @@ fn write_fixture_history(dir: &Path) -> DurableEngine {
     e
 }
 
-/// The on-disk format did not move: a store the parent commit wrote opens
-/// under this code to the state its history implies, and this code, given
-/// the same history, writes the same three files byte for byte — so the
-/// parent opens what this code writes.
-#[test]
-fn parent_written_store_opens_and_is_rewritten_byte_for_byte() {
-    const FILES: [&str; 3] = [SNAPSHOT_FILE, "snapshot.delta-1", WAL_FILE];
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store");
-    let ours = scratch("fixture_ours");
-    let live = write_fixture_history(&ours);
-    let expected = (live.model().sorted_facts(), live.program().num_facts());
-    drop(live);
-    let theirs = scratch("fixture_theirs");
-    std::fs::create_dir_all(&theirs).unwrap();
-    for name in FILES {
-        let parent = std::fs::read(fixture.join(format!("{name}.bin"))).unwrap();
-        assert_eq!(std::fs::read(ours.join(name)).unwrap(), parent, "{name} differs");
-        std::fs::write(theirs.join(name), parent).unwrap();
+fn fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// A scratch store assembled from fixture files: `(fixture, file name)`.
+fn store_from_fixtures(label: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = scratch(label);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (fixture, name) in files {
+        std::fs::copy(fixtures().join(fixture).join(format!("{name}.bin")), dir.join(name))
+            .unwrap();
     }
+    dir
+}
+
+/// The state `write_fixture_history` ends in: model and program size.
+fn fixture_history_state() -> (Vec<Fact>, usize) {
+    let ours = scratch("fixture_history_state");
+    let live = write_fixture_history(&ours);
+    let state = (live.model().sorted_facts(), live.program().num_facts());
+    drop(live);
+    let _ = std::fs::remove_dir_all(&ours);
+    state
+}
+
+/// Opens the store at `dir` in both replay modes and checks it lands on
+/// `expected` with the given chain length and replayed suffix.
+fn assert_opens_to(dir: &Path, expected: &(Vec<Fact>, usize), chain: u64, txns: u64) {
     for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
-        let mut spec = WalSpec::new(&theirs);
+        let mut spec = WalSpec::new(dir);
         spec.replay = replay;
         let e =
             DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), Program::new(), None)
                 .unwrap();
         let d = e.durability().unwrap();
-        assert_eq!((d.snapshot_chain_len, d.recovered_txns), (1, 2), "{replay} replay");
-        assert_eq!((e.model().sorted_facts(), e.program().num_facts()), expected);
+        assert_eq!((d.snapshot_chain_len, d.recovered_txns), (chain, txns), "{replay} replay");
+        assert_eq!(&(e.model().sorted_facts(), e.program().num_facts()), expected, "{replay}");
         assert!(e.model().contains_parsed("late(\"odd name.\")"));
         assert!(!e.model().contains_parsed("late(3)"));
+        let canonical = ctor_for("cascade")(e.program().clone()).unwrap().support_dump();
+        assert_eq!(e.support_dump(), canonical, "{replay}: canonical supports");
+    }
+}
+
+/// A store the parent commit wrote — a v1 base, a v1 link and a WAL —
+/// opens under this code to the state its history implies, in both replay
+/// modes; and this code, given the same history, writes the same WAL byte
+/// for byte.
+#[test]
+fn parent_written_store_opens_and_is_rewritten_byte_for_byte() {
+    let ours = scratch("fixture_ours");
+    drop(write_fixture_history(&ours));
+    let parent_wal = std::fs::read(fixtures().join("parent_store/wal.log.bin")).unwrap();
+    assert_eq!(std::fs::read(ours.join(WAL_FILE)).unwrap(), parent_wal, "{WAL_FILE} differs");
+    let _ = std::fs::remove_dir_all(&ours);
+    let theirs = store_from_fixtures(
+        "fixture_theirs",
+        &[
+            ("parent_store", SNAPSHOT_FILE),
+            ("parent_store", "snapshot.delta-1"),
+            ("parent_store", WAL_FILE),
+        ],
+    );
+    let base = Snapshot::read(&theirs.join(SNAPSHOT_FILE)).unwrap().unwrap();
+    let link = DeltaSnapshot::read(&theirs.join("snapshot.delta-1")).unwrap().unwrap();
+    assert_eq!((base.version, link.version), (1, 1), "the parent wrote layout v1");
+    assert_opens_to(&theirs, &fixture_history_state(), 1, 2);
+    let _ = std::fs::remove_dir_all(&theirs);
+}
+
+/// The v2 format is pinned: given the fixture history, this code writes
+/// `tests/fixtures/v2_store`'s base snapshot and delta link byte for byte,
+/// and that store opens in both replay modes.
+#[test]
+fn v2_store_is_rewritten_byte_for_byte_and_opens() {
+    const FILES: [&str; 2] = [SNAPSHOT_FILE, "snapshot.delta-1"];
+    let ours = scratch("v2_fixture_ours");
+    drop(write_fixture_history(&ours));
+    for name in FILES {
+        let pinned = std::fs::read(fixtures().join(format!("v2_store/{name}.bin"))).unwrap();
+        assert_eq!(std::fs::read(ours.join(name)).unwrap(), pinned, "{name} differs");
     }
     let _ = std::fs::remove_dir_all(&ours);
-    let _ = std::fs::remove_dir_all(&theirs);
+    let dir = store_from_fixtures(
+        "v2_fixture_theirs",
+        &[
+            ("v2_store", SNAPSHOT_FILE),
+            ("v2_store", "snapshot.delta-1"),
+            ("parent_store", WAL_FILE),
+        ],
+    );
+    let base = Snapshot::read(&dir.join(SNAPSHOT_FILE)).unwrap().unwrap();
+    assert_eq!(base.version, stratamaint::store::snapshot::VERSION);
+    assert_opens_to(&dir, &fixture_history_state(), 1, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A mixed chain: the parent's v1 store, opened and checkpointed once by
+/// this code, gains a v2 link on the v1 base and link — and the WAL suffix
+/// the open replayed must be in that link, whichever mode replayed it.
+#[test]
+fn a_v2_link_on_a_v1_chain_recovers() {
+    let expected = fixture_history_state();
+    for first in [ReplayMode::Engine, ReplayMode::Bulk] {
+        let dir = store_from_fixtures(
+            &format!("mixed_chain_{first}"),
+            &[
+                ("parent_store", SNAPSHOT_FILE),
+                ("parent_store", "snapshot.delta-1"),
+                ("parent_store", WAL_FILE),
+            ],
+        );
+        let mut spec = WalSpec::new(&dir);
+        spec.snapshot = SnapshotMode::Incremental { max_chain: 8 };
+        spec.replay = first;
+        let mut e =
+            DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), Program::new(), None)
+                .unwrap();
+        assert!(e.checkpoint().unwrap());
+        assert_eq!(e.durability().unwrap().snapshot_chain_len, 2, "{first}: a link, not a base");
+        drop(e);
+        let link = DeltaSnapshot::read(&dir.join("snapshot.delta-2")).unwrap().unwrap();
+        assert_eq!(link.version, stratamaint::store::snapshot::VERSION);
+        assert_opens_to(&dir, &expected, 2, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `payload` (layout v1) without `doomed` in its model section; the
+/// support dump after it is kept as it is.
+fn drop_v1_model_fact(payload: &[u8], doomed: &Fact) -> Vec<u8> {
+    let mut r = Reader::new(payload);
+    for _ in 0..r.get_u32().unwrap() {
+        r.get_fact().unwrap();
+    }
+    for _ in 0..r.get_u32().unwrap() {
+        r.get_str().unwrap();
+    }
+    let model_at = r.pos();
+    let n = r.get_u32().unwrap();
+    let mut out = payload[..model_at].to_vec();
+    put_u32(&mut out, n - 1);
+    let mut kept = 0;
+    for _ in 0..n {
+        let start = r.pos();
+        if r.get_fact().unwrap() != *doomed {
+            out.extend_from_slice(&payload[start..r.pos()]);
+            kept += 1;
+        }
+    }
+    assert_eq!(kept, n - 1, "{doomed} is in the model section once");
+    out.extend_from_slice(&payload[r.pos()..]);
+    out
+}
+
+/// Opening `dir` fails the recovery integrity check in engine replay and
+/// in bulk replay (the WAL is empty, so bulk can check too).
+fn assert_integrity_check_fails(dir: &Path) {
+    for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
+        let mut spec = WalSpec::new(dir);
+        spec.replay = replay;
+        match DurableEngine::open_spec(&spec, "cascade", ctor_for("cascade"), Program::new(), None)
+        {
+            Err(e) => assert!(
+                e.to_string().contains("snapshot integrity check failed"),
+                "{replay}: wrong error {e}"
+            ),
+            Ok(_) => panic!("{replay}: a chain whose model disagrees must not open"),
+        }
+    }
+}
+
+/// The recovery integrity check, on snapshots whose CRCs are valid so that
+/// only the check can catch them: a v1 base whose model section lacks one
+/// derived fact, and a v2 base whose digest for one relation is off by one
+/// tuple.
+#[test]
+fn a_snapshot_whose_model_disagrees_with_its_program_is_refused() {
+    let doomed = Fact::parse("rejected(1)").unwrap();
+    // v1: the parent's base snapshot, minus one model fact.
+    let base = Snapshot::read(&fixtures().join("parent_store/snapshot.snap.bin")).unwrap().unwrap();
+    assert_eq!(base.version, 1);
+    let v1 = scratch("integrity_v1");
+    std::fs::create_dir_all(&v1).unwrap();
+    let intact = base.clone();
+    intact.write_atomic(&v1.join(SNAPSHOT_FILE)).unwrap();
+    let e = DurableEngine::open(
+        &v1,
+        "cascade",
+        ctor_for("cascade"),
+        Program::new(),
+        Durability::Buffered,
+    )
+    .expect("the intact base opens");
+    assert!(e.model().contains(&doomed));
+    drop(e);
+    let payload = drop_v1_model_fact(&base.payload, &doomed);
+    assert!(payload.len() < base.payload.len());
+    Snapshot { payload, ..base }.write_atomic(&v1.join(SNAPSHOT_FILE)).unwrap();
+    assert_integrity_check_fails(&v1);
+    let _ = std::fs::remove_dir_all(&v1);
+
+    // v2: the same program, written through the store with the digest of
+    // a model one tuple short.
+    let v2 = scratch("integrity_v2");
+    let engine = EngineRegistry::standard().build("cascade", fixture_program()).unwrap();
+    let mut model = engine.model().clone();
+    assert!(model.remove(&doomed));
+    let (mut store, _) = Store::open(&v2, Durability::Buffered).unwrap();
+    store.write_snapshot("cascade", encode_state(engine.program(), &model)).unwrap();
+    drop(store);
+    assert_integrity_check_fails(&v2);
+    let _ = std::fs::remove_dir_all(&v2);
 }
 
 /// A store written by a strategy the registry no longer has:
@@ -355,16 +544,14 @@ fn parent_written_store_opens_and_is_rewritten_byte_for_byte() {
 #[test]
 fn store_written_by_a_removed_strategy_opens_under_cascade() {
     const REMOVED: &str = "cascade-parallel";
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let dir = scratch("removed_strategy");
-    std::fs::create_dir_all(&dir).unwrap();
-    for (fixture, name) in [
-        ("removed_strategy_store", SNAPSHOT_FILE),
-        ("removed_strategy_store", "snapshot.delta-1"),
-        ("parent_store", WAL_FILE),
-    ] {
-        std::fs::copy(fixtures.join(fixture).join(format!("{name}.bin")), dir.join(name)).unwrap();
-    }
+    let dir = store_from_fixtures(
+        "removed_strategy",
+        &[
+            ("removed_strategy_store", SNAPSHOT_FILE),
+            ("removed_strategy_store", "snapshot.delta-1"),
+            ("parent_store", WAL_FILE),
+        ],
+    );
     let base = Snapshot::read(&dir.join(SNAPSHOT_FILE)).unwrap().expect("base snapshot");
     let link = DeltaSnapshot::read(&dir.join("snapshot.delta-1")).unwrap().expect("delta link");
     assert_eq!([base.meta.as_str(), link.meta.as_str()], [REMOVED; 2]);
@@ -392,10 +579,7 @@ fn store_written_by_a_removed_strategy_opens_under_cascade() {
         "the refused build left the store alone"
     );
 
-    let ours = scratch("removed_strategy_ours");
-    let live = write_fixture_history(&ours);
-    let expected = (live.model().sorted_facts(), live.program().num_facts());
-    drop(live);
+    let expected = fixture_history_state();
     for replay in [ReplayMode::Engine, ReplayMode::Bulk] {
         let e = registry.build_with_storage("cascade", Program::new(), &storage(replay)).unwrap();
         assert_eq!(e.name(), "cascade");
@@ -407,7 +591,6 @@ fn store_written_by_a_removed_strategy_opens_under_cascade() {
             "{replay} replay"
         );
     }
-    let _ = std::fs::remove_dir_all(&ours);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,28 +1,36 @@
 //! Golden bytes for the checkpoint encoders. The snapshot and delta payloads
-//! are a stored format: stores written before the single-pass encoder must
-//! keep opening, so what `encode_state` and a delta checkpoint emit is
-//! pinned, byte for byte, to the encoder they replaced — kept here verbatim
-//! as the oracle: clone every fact, sort each section with a comparator
-//! that resolves both names on every comparison, write. Every registered
-//! strategy, on the paper's worked examples, two synthetic programs and one
-//! whose relation names share a long prefix, after enough churn that
-//! relation arenas carry tombstones and the rule table an empty slot.
+//! are a stored format, so what `encode_state` and a delta checkpoint emit
+//! (layout v2: the program plus a per-relation model digest) is pinned, byte
+//! for byte, to a reference encoder kept here: clone every fact, sort each
+//! program section with a comparator that resolves both names on every
+//! comparison, hash every model fact's encoded bytes on its own. Stores
+//! written before layout v2 must keep opening, so the v1 encoder is kept
+//! here too, verbatim, as the generator of v1 payloads: the v1 readers must
+//! decode its output to the same program and the same digests. Every
+//! registered strategy, on the paper's worked examples, two synthetic
+//! programs and one whose relation names share a long prefix, after enough
+//! churn that relation arenas carry tombstones and the rule table an empty
+//! slot.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use stratamaint::core::durable::{decode_delta, decode_state, encode_delta, encode_state};
+use stratamaint::core::durable::{
+    decode_delta, decode_delta_v1, decode_state, decode_state_v1, encode_state, DeltaState,
+    ModelDigest, RelDigest,
+};
 use stratamaint::core::registry::EngineRegistry;
 use stratamaint::core::support::{FactSupport, PairDump};
 use stratamaint::core::{MaintenanceEngine, SnapshotMode, StorageSpec, SupportDump, Update};
-use stratamaint::datalog::wire::{put_fact, put_str, put_u32};
-use stratamaint::datalog::{Fact, Program, RelStamp, Symbol, Value};
-use stratamaint::store::DeltaSnapshot;
+use stratamaint::datalog::wire::{put_fact, put_str, put_u32, put_u64};
+use stratamaint::datalog::{Database, Fact, Program, RelStamp, Symbol, Value};
+use stratamaint::store::{snapshot, DeltaSnapshot};
 use stratamaint::workload::script::{random_fact_script, ScriptConfig};
 use stratamaint::workload::{paper, synth};
 
 // ---------------------------------------------------------------------------
-// The oracle: the three-sort encoder, as it stood.
+// The v1 oracle: the three-sort encoder, as it stood.
 // ---------------------------------------------------------------------------
 
 fn ref_value_cmp(a: &Value, b: &Value) -> Ordering {
@@ -148,9 +156,67 @@ fn ref_put_sections(buf: &mut Vec<u8>, sections: &Sections) {
     }
 }
 
-/// The delta a checkpoint owes: every model relation whose stamp left
-/// `baseline`, every program relation in `dirty`, each cloned and sorted on
-/// its own, the program scanned once per dirty relation.
+// ---------------------------------------------------------------------------
+// The v2 reference: program as above, model as per-relation digests.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a, then the splitmix64 finalizer.
+fn ref_hash(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58476d1ce4e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d049bb133111eb);
+    h ^ (h >> 31)
+}
+
+/// A relation's digest from its facts, each encoded on its own.
+fn ref_digest(facts: &[Fact]) -> RelDigest {
+    let mut d = RelDigest::default();
+    for f in facts {
+        let mut bytes = Vec::new();
+        put_fact(&mut bytes, f);
+        d.tuples += 1;
+        d.sum = d.sum.wrapping_add(ref_hash(&bytes));
+    }
+    d
+}
+
+/// Every non-empty relation of `model`, by name.
+fn ref_model_digests(model: &Database) -> Vec<(Symbol, RelDigest)> {
+    let mut by_name: BTreeMap<String, Vec<Fact>> = BTreeMap::new();
+    for f in model.iter_facts() {
+        by_name.entry(f.rel.as_str().to_string()).or_default().push(f);
+    }
+    by_name.into_iter().map(|(name, facts)| (Symbol::new(&name), ref_digest(&facts))).collect()
+}
+
+fn ref_put_digests(buf: &mut Vec<u8>, digests: &[(Symbol, RelDigest)]) {
+    put_u32(buf, digests.len() as u32);
+    for (rel, d) in digests {
+        put_str(buf, rel.as_str());
+        put_u32(buf, d.tuples);
+        put_u64(buf, d.sum);
+    }
+}
+
+fn ref_encode_state_v2(engine: &dyn MaintenanceEngine) -> Vec<u8> {
+    let mut buf = Vec::new();
+    ref_put_facts(&mut buf, engine.program().facts().cloned().collect());
+    ref_put_strings(&mut buf, &rule_texts(engine.program()));
+    ref_put_digests(&mut buf, &ref_model_digests(engine.model()));
+    buf
+}
+
+/// What a checkpoint owes since `baseline`: every program relation in
+/// `dirty`, cloned and sorted on its own, the program scanned once per
+/// dirty relation; the rule list; and every model relation whose stamp
+/// left `baseline` or that left the model, as its facts (v1) — the v2 link
+/// carries their digests.
 fn ref_delta(
     engine: &dyn MaintenanceEngine,
     baseline: &[(Symbol, RelStamp)],
@@ -166,6 +232,9 @@ fn ref_delta(
             (sym, facts)
         })
         .collect();
+    // A baseline relation the model no longer has at all is now empty.
+    let gone = baseline.iter().filter(|(sym, _)| model.relation(*sym).is_none());
+    model_rels.extend(gone.map(|&(sym, _)| (sym, Vec::new())));
     model_rels.sort_by_key(|(sym, _)| sym.as_str());
     let program = engine.program();
     let mut program_rels: Sections = dirty
@@ -178,6 +247,18 @@ fn ref_delta(
         .collect();
     program_rels.sort_by_key(|(sym, _)| sym.as_str());
     (program_rels, rule_texts(program), model_rels)
+}
+
+/// A program as comparable data: its facts in the canonical order and its
+/// rule texts in slot order.
+fn program_key(program: &Program) -> (Vec<Fact>, Vec<String>) {
+    let mut facts: Vec<Fact> = program.facts().cloned().collect();
+    facts.sort_by(ref_fact_cmp);
+    (facts, rule_texts(program))
+}
+
+fn delta_key(d: &DeltaState) -> (Sections, Vec<String>, Vec<(Symbol, RelDigest)>) {
+    (d.program_rels.clone(), d.rules.clone(), d.model_rels.clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +339,7 @@ fn scratch(name: &str) -> PathBuf {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn snapshot_payload_equals_the_three_sort_encoder_for_every_strategy() {
+fn snapshot_payload_equals_the_reference_encoder_for_every_strategy() {
     let registry = EngineRegistry::standard();
     assert_eq!(registry.names().len(), 6, "every registered strategy is covered");
     for (label, program) in programs() {
@@ -266,14 +347,27 @@ fn snapshot_payload_equals_the_three_sort_encoder_for_every_strategy() {
         for name in registry.names() {
             let mut engine = registry.build(name, program.clone()).unwrap();
             for round in 0..2 {
-                let bytes = encode_state(engine.as_ref());
+                let bytes = encode_state(engine.program(), engine.model());
                 assert!(
-                    bytes == ref_encode_state(engine.as_ref()),
+                    bytes == ref_encode_state_v2(engine.as_ref()),
                     "[{label}/{name}] round {round}: payload differs from the reference encoder"
                 );
                 let state = decode_state(&bytes).unwrap();
-                assert_eq!(state.supports, engine.support_dump(), "[{label}/{name}] supports");
-                assert_eq!(&state.model, engine.model(), "[{label}/{name}] model");
+                assert_eq!(state.model, ModelDigest::of(engine.model()), "[{label}/{name}] model");
+                assert_eq!(
+                    program_key(&state.program),
+                    program_key(engine.program()),
+                    "[{label}/{name}] program"
+                );
+                // The v1 payload of the same state reads back as the same
+                // program and the same digests.
+                let v1 = decode_state_v1(&ref_encode_state(engine.as_ref())).unwrap();
+                assert_eq!(v1.model, state.model, "[{label}/{name}] round {round}: v1 digests");
+                assert_eq!(
+                    program_key(&v1.program),
+                    program_key(&state.program),
+                    "[{label}/{name}]"
+                );
                 churn(engine.as_mut(), &script);
             }
             let slots: Vec<usize> = engine.program().rules().map(|(id, _)| id.index()).collect();
@@ -309,23 +403,29 @@ fn delta_payload_equals_the_clone_and_sort_collector_for_every_strategy() {
             churn(engine.as_mut(), &script);
             assert!(engine.checkpoint().unwrap());
             let written = DeltaSnapshot::read(&dir.join("snapshot.delta-1")).unwrap().unwrap();
+            assert_eq!(written.version, snapshot::VERSION, "[{label}/{name}]");
             let (program_rels, rules, model_rels) = ref_delta(engine.as_ref(), &baseline, &dirty);
             if label == "conference" {
                 assert!(program_rels.len() >= 3 && model_rels.len() >= 3, "[{name}] one section");
             }
+            let digests: Vec<(Symbol, RelDigest)> =
+                model_rels.iter().map(|(rel, facts)| (*rel, ref_digest(facts))).collect();
             let mut expected = Vec::new();
             ref_put_sections(&mut expected, &program_rels);
             ref_put_strings(&mut expected, &rules);
-            ref_put_sections(&mut expected, &model_rels);
+            ref_put_digests(&mut expected, &digests);
             assert!(
                 written.payload == expected,
                 "[{label}/{name}] delta payload differs from the reference collector"
             );
             let back = decode_delta(&written.payload).unwrap();
-            assert_eq!(back.program_rels, program_rels, "[{label}/{name}]");
-            assert_eq!(back.rules, rules, "[{label}/{name}]");
-            assert_eq!(back.model_rels, model_rels, "[{label}/{name}]");
-            assert!(encode_delta(&back) == written.payload, "[{label}/{name}] re-encoded link");
+            assert_eq!(delta_key(&back), (program_rels.clone(), rules.clone(), digests));
+            // The v1 link of the same patch reads back as the same patch.
+            let mut v1 = Vec::new();
+            ref_put_sections(&mut v1, &program_rels);
+            ref_put_strings(&mut v1, &rules);
+            ref_put_sections(&mut v1, &model_rels);
+            assert_eq!(delta_key(&decode_delta_v1(&v1).unwrap()), delta_key(&back));
             drop(engine);
             let _ = std::fs::remove_dir_all(&dir);
         }
