@@ -300,15 +300,6 @@ impl StorageSpec {
             StorageSpec::Wal(w) => Some(&w.dir),
         }
     }
-
-    /// Parses the string form.
-    #[deprecated(
-        note = "build specs with StorageSpec::mem()/StorageSpec::wal(dir) and the builder \
-                knobs; for CLI strings, use FromStr (`s.parse::<StorageSpec>()`)"
-    )]
-    pub fn parse(s: &str) -> Result<StorageSpec, String> {
-        s.parse()
-    }
 }
 
 impl std::str::FromStr for SnapshotMode {
@@ -1485,10 +1476,6 @@ mod tests {
             "wal:/x;turbo=on",
         ] {
             assert!(bad.parse::<StorageSpec>().is_err(), "{bad} must be rejected");
-        }
-        #[allow(deprecated)]
-        {
-            assert_eq!(StorageSpec::parse("mem").unwrap(), StorageSpec::Mem);
         }
     }
 

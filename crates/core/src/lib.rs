@@ -21,6 +21,14 @@
 //! | [`strategy::CascadeEngine`] | `cascade` | 5.1 | one-level rule pointers, strata cascaded |
 //! | [`strategy::FactLevelEngine`] | `fact-level` | 5.2 | full fact-level supports (zero migration) |
 //!
+//! The three §4 engines are one generic engine, [`strategy::Maintainer`],
+//! over three [`strategy::Bookkeeping`] policies: `StaticEngine`,
+//! `DynamicSingleEngine` and `DynamicMultiEngine` are aliases of
+//! `Maintainer<DependencyGraph>`, `Maintainer<SingleConfig>` and
+//! `Maintainer<MultiConfig>`. `Maintainer` runs the paper's removal phase and
+//! stratum-by-stratum re-saturation; a policy says what a support records
+//! and how the failure test reads it.
+//!
 //! All of them implement [`engine::MaintenanceEngine`] and agree on the
 //! resulting model (checked extensively by tests); they differ in how much
 //! **migration** (erroneous removal followed by re-derivation) and

@@ -14,86 +14,16 @@
 //! rather than as independent `Pos`/`Neg` elements, which is required for
 //! soundness across sequences of updates.
 
-use rustc_hash::{FxHashMap, FxHashSet};
-use strata_datalog::eval::naive::{self, SaturationStats};
-use strata_datalog::eval::{Derivation, DerivationSink};
+use strata_datalog::deps::StaticDeps;
+use strata_datalog::eval::Derivation;
 use strata_datalog::graph::RelIndex;
-use strata_datalog::model::StratKind;
-use strata_datalog::{Database, Fact, Program, Symbol};
+use strata_datalog::Fact;
 
-use crate::analysis::Analysis;
-use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
-use crate::stats::UpdateStats;
-use crate::strategy::{add_rule_checked, find_rule_checked, retract_checked};
-use crate::support::{MultiConfig, MultiSupport, SupportPair};
+use crate::strategy::{Bookkeeping, Cause, Maintainer, Supports};
+use crate::support::{FactSupport, MultiConfig, MultiSupport, PairDump, SupportPair};
 
 /// The paper's §4.3 engine.
-pub struct DynamicMultiEngine {
-    program: Program,
-    analysis: Analysis,
-    model: Database,
-    supports: FxHashMap<Fact, MultiSupport>,
-    config: MultiConfig,
-}
-
-struct MultiSink<'a> {
-    supports: &'a mut FxHashMap<Fact, MultiSupport>,
-    index: &'a RelIndex,
-    universe: usize,
-    config: MultiConfig,
-}
-
-impl DerivationSink for MultiSink<'_> {
-    fn on_derivation(&mut self, d: &Derivation<'_>) -> bool {
-        // The contribution of the rule instance itself:
-        // {q1…qi, -r1…-rj} on the Pos side, {+r1…+rj} on the Neg side.
-        let mut lit = SupportPair::empty(self.universe);
-        for bf in d.pos_body {
-            lit.pos.plain.insert(self.index.of(bf.rel));
-        }
-        for nf in d.neg_body {
-            let r = self.index.of(nf.rel);
-            lit.pos.signed.insert(r);
-            lit.neg.signed.insert(r);
-        }
-        // The ⊕ product over the body facts' supports: one choice of pair
-        // per body fact, unioned component-wise.
-        let mut acc: Vec<SupportPair> = vec![lit];
-        for bf in d.pos_body {
-            let options: Vec<SupportPair> = match self.supports.get(bf) {
-                Some(ms) => {
-                    let mut o: Vec<SupportPair> = ms.pairs().to_vec();
-                    if ms.asserted {
-                        o.push(SupportPair::empty(self.universe));
-                    }
-                    o
-                }
-                // Unknown body support: treat as asserted (pessimism is not
-                // needed for additions; saturation will refine later).
-                None => vec![SupportPair::empty(self.universe)],
-            };
-            if options.iter().all(SupportPair::is_assertion) {
-                continue; // ∅ is the ⊕ identity
-            }
-            let mut next = Vec::with_capacity(acc.len() * options.len());
-            for a in &acc {
-                for o in &options {
-                    let mut c = a.clone();
-                    c.union_with(o);
-                    next.push(c);
-                }
-            }
-            prune(&mut next, &self.config);
-            acc = next;
-        }
-        let entry = self.supports.entry(d.head.clone()).or_default();
-        let mut changed = false;
-        for pair in acc {
-            changed |= entry.add_pair(pair, &self.config);
-        }
-        changed
-    }
-}
+pub type DynamicMultiEngine = Maintainer<MultiConfig>;
 
 /// Keeps a manageable antichain: dominated pairs dropped, capped smallest-
 /// first in the canonical order.
@@ -112,269 +42,99 @@ fn prune(pairs: &mut Vec<SupportPair>, cfg: &MultiConfig) {
     pairs.truncate(cfg.max_pairs);
 }
 
-impl DynamicMultiEngine {
-    /// Builds the engine with the default configuration.
-    pub fn new(program: Program) -> Result<DynamicMultiEngine, MaintenanceError> {
-        Self::with_config(program, MultiConfig::default())
-    }
+/// The §4.3 bookkeeping: one support pair per remembered derivation.
+impl Bookkeeping for MultiConfig {
+    type Support = MultiSupport;
 
-    /// Builds the engine with an explicit configuration (see the
-    /// minimality-pruning ablation in the benches).
-    pub fn with_config(
-        program: Program,
-        config: MultiConfig,
-    ) -> Result<DynamicMultiEngine, MaintenanceError> {
-        let analysis = Analysis::build(&program, StratKind::Maximal)
-            .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        let mut engine = DynamicMultiEngine {
-            program,
-            analysis,
-            model: Database::new(),
-            supports: FxHashMap::default(),
-            config,
-        };
-        let mut added = FxHashSet::default();
-        let mut derivs = 0;
-        engine.resaturate_from(0, &mut added, &mut derivs);
-        Ok(engine)
-    }
-
-    /// The support currently attached to a fact (for tests/inspection).
-    pub fn support_of(&self, fact: &Fact) -> Option<&MultiSupport> {
-        self.supports.get(fact)
-    }
-
-    fn resaturate_from(&mut self, start: usize, added: &mut FxHashSet<Fact>, derivs: &mut u64) {
-        let strata = self.analysis.strata();
-        let universe = self.analysis.universe();
-        for s in start..strata.num_strata() {
-            for f in strata.facts_of(s) {
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-                self.supports.entry(f.clone()).or_default().asserted = true;
-            }
-            let mut sink = MultiSink {
-                supports: &mut self.supports,
-                index: self.analysis.index(),
-                universe,
-                config: self.config,
-            };
-            let mut stats = SaturationStats::default();
-            let new = naive::saturate(&mut self.model, strata.rules_of(s), &mut sink, &mut stats);
-            *derivs += stats.derivations;
-            added.extend(new);
-        }
-    }
-
-    /// Removal phase for an increase of `p`: every pair whose resolved
-    /// `Neg'` contains `p` fails; a fact with no surviving grounds leaves.
-    fn removal_on_increase(&mut self, p: u32, removed: &mut FxHashSet<Fact>) {
-        let rels: Vec<Symbol> = self
-            .analysis
-            .deps()
-            .neg_inverse(p)
-            .iter()
-            .map(|i| self.analysis.index().rel(i))
-            .collect();
-        let deps = self.analysis.deps();
-        for rel in rels {
-            let facts: Vec<Fact> = self.model.facts_of(rel).collect();
-            for f in facts {
-                let alive = match self.supports.get_mut(&f) {
-                    Some(sup) => {
-                        sup.remove_failed(|pair| pair.neg_resolved_contains(p, deps));
-                        sup.is_alive()
-                    }
-                    None => false,
-                };
-                if !alive {
-                    self.model.remove(&f);
-                    self.supports.remove(&f);
-                    removed.insert(f);
-                }
-            }
-        }
-    }
-
-    /// Removal phase for a decrease of `p`. `clear_pairs_of` (rule deletion)
-    /// pessimistically drops all derivation pairs of that head relation.
-    fn removal_on_decrease(
-        &mut self,
-        p: u32,
-        clear_pairs_of: Option<Symbol>,
-        removed: &mut FxHashSet<Fact>,
-    ) {
-        let rels: Vec<Symbol> = self
-            .analysis
-            .deps()
-            .pos_inverse(p)
-            .iter()
-            .map(|i| self.analysis.index().rel(i))
-            .collect();
-        let deps = self.analysis.deps();
-        for rel in rels {
-            let facts: Vec<Fact> = self.model.facts_of(rel).collect();
-            for f in facts {
-                let alive = match self.supports.get_mut(&f) {
-                    Some(sup) => {
-                        if clear_pairs_of == Some(rel) {
-                            sup.clear_pairs();
-                        } else {
-                            sup.remove_failed(|pair| pair.pos_resolved_contains(p, deps));
-                        }
-                        sup.is_alive()
-                    }
-                    None => false,
-                };
-                if !alive {
-                    self.model.remove(&f);
-                    self.supports.remove(&f);
-                    removed.insert(f);
-                }
-            }
-        }
-    }
-
-    fn rebuild_analysis(&mut self) -> Result<(), MaintenanceError> {
-        self.analysis =
-            Analysis::rebuild(&self.program, StratKind::Maximal, self.analysis.index_clone())
-                .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        Ok(())
-    }
-
-    fn finish(&self, removed: FxHashSet<Fact>, added: FxHashSet<Fact>, derivs: u64) -> UpdateStats {
-        UpdateStats::from_sets(&removed, &added, derivs, self.support_bytes())
-    }
-}
-
-impl MaintenanceEngine for DynamicMultiEngine {
     fn name(&self) -> &'static str {
         "dynamic-multi"
     }
 
-    fn program(&self) -> &Program {
-        &self.program
+    fn assert(&self, supports: &mut Supports<MultiSupport>, f: &Fact, _: usize) {
+        supports.entry(f.clone()).or_default().asserted = true;
     }
 
-    fn model(&self) -> &Database {
-        &self.model
+    /// Retracts the trivial derivation; the fact survives iff a remembered
+    /// derivation pair remains (Example 3/4 benefit).
+    fn retract(&self, support: Option<&mut MultiSupport>) -> bool {
+        support.map_or(true, |sup| {
+            sup.asserted = false;
+            !sup.is_alive()
+        })
     }
 
-    fn support_bytes(&self) -> usize {
-        self.supports.values().map(MultiSupport::heap_bytes).sum::<usize>()
-            + self.supports.capacity()
-                * (std::mem::size_of::<Fact>() + std::mem::size_of::<MultiSupport>())
+    /// Every pair whose resolved `Neg'` (increase) or `Pos'` (decrease)
+    /// contains `p` fails, and a rule deletion pessimistically drops all
+    /// pairs of the head; a fact with no surviving grounds leaves.
+    fn fails(&self, support: Option<&mut MultiSupport>, cause: Cause, deps: &StaticDeps) -> bool {
+        let Some(sup) = support else { return true };
+        sup.remove_failed(|pair| match cause {
+            Cause::Increase(p) => pair.neg_resolved_contains(p, deps),
+            Cause::Decrease(p) => pair.pos_resolved_contains(p, deps),
+            Cause::RuleDeleted { .. } => true,
+        });
+        !sup.is_alive()
     }
 
-    fn support_dump(&self) -> crate::support::SupportDump {
-        let index = self.analysis.index();
-        crate::support::SupportDump::from_entries(
-            self.supports
-                .iter()
-                .map(|(f, sup)| {
-                    let mut pairs: Vec<crate::support::PairDump> =
-                        sup.pairs().iter().map(|p| p.dump(index)).collect();
-                    pairs.sort();
-                    (
-                        f.clone(),
-                        crate::support::FactSupport::Multi { asserted: sup.asserted, pairs },
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    fn apply(&mut self, update: &Update) -> Result<UpdateStats, MaintenanceError> {
-        let update = normalize(update);
-        let mut removed = FxHashSet::default();
-        let mut added = FxHashSet::default();
-        let mut derivs = 0u64;
-        match &update {
-            Update::InsertFact(f) => {
-                if self.program.is_asserted(f) {
-                    return Ok(self.finish(removed, added, derivs));
-                }
-                self.program.assert_fact(f.clone()).map_err(MaintenanceError::Datalog)?;
-                if self.analysis.rel(f.rel).is_none() {
-                    self.rebuild_analysis().expect("fact insertion cannot unstratify");
-                } else {
-                    self.analysis.note_assert(f);
-                }
-                let p = self.analysis.rel(f.rel).expect("indexed");
-                self.removal_on_increase(p, &mut removed);
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-                self.supports.entry(f.clone()).or_default().asserted = true;
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
+    fn record(
+        &self,
+        supports: &mut Supports<MultiSupport>,
+        d: &Derivation<'_>,
+        index: &RelIndex,
+    ) -> bool {
+        // The contribution of the rule instance itself:
+        // {q1…qi, -r1…-rj} on the Pos side, {+r1…+rj} on the Neg side.
+        let lit = SupportPair::of_instance(d, index, true);
+        // The ⊕ product over the body facts' supports: one choice of pair
+        // per body fact, unioned component-wise.
+        let mut acc: Vec<SupportPair> = vec![lit];
+        for bf in d.pos_body {
+            // An unknown body support counts as asserted (pessimism is not
+            // needed for additions; saturation will refine later).
+            let Some(ms) = supports.get(bf) else { continue };
+            if ms.pairs().iter().all(SupportPair::is_assertion) {
+                continue; // ∅ is the ⊕ identity
             }
-            Update::DeleteFact(f) => {
-                retract_checked(&mut self.program, f)?;
-                self.analysis.note_retract(f);
-                let p = self.analysis.rel(f.rel).expect("indexed");
-                // Retract the trivial derivation; the fact survives iff a
-                // remembered derivation pair remains (Example 3/4 benefit).
-                let alive = match self.supports.get_mut(f) {
-                    Some(sup) => {
-                        sup.asserted = false;
-                        sup.is_alive()
-                    }
-                    None => false,
-                };
-                if !alive {
-                    self.model.remove(f);
-                    self.supports.remove(f);
-                    removed.insert(f.clone());
+            let mut options = ms.pairs().to_vec();
+            if ms.asserted {
+                options.push(SupportPair::empty(index.len()));
+            }
+            let mut next = Vec::with_capacity(acc.len() * options.len());
+            for a in &acc {
+                for o in &options {
+                    let mut c = a.clone();
+                    c.union_with(o);
+                    next.push(c);
                 }
-                self.removal_on_decrease(p, None, &mut removed);
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
             }
-            Update::InsertRule(r) => {
-                let id = add_rule_checked(&mut self.program, r)?;
-                let old = self.analysis.clone();
-                if let Err(e) = self.rebuild_analysis() {
-                    self.program.remove_rule(id);
-                    self.analysis = old;
-                    let MaintenanceError::Datalog(strata_datalog::DatalogError::Stratification(s)) =
-                        e
-                    else {
-                        return Err(e);
-                    };
-                    return Err(MaintenanceError::WouldUnstratify(s));
-                }
-                let p = self.analysis.rel(r.head.rel).expect("indexed");
-                self.removal_on_increase(p, &mut removed);
-                self.resaturate_from(self.analysis.stratum_of(r.head.rel), &mut added, &mut derivs);
-            }
-            Update::DeleteRule(r) => {
-                let id = find_rule_checked(&self.program, r)?;
-                let head = r.head.rel;
-                let p = self.analysis.rel(head).expect("indexed");
-                let affected: Vec<Symbol> = self
-                    .analysis
-                    .deps()
-                    .pos_inverse(p)
-                    .iter()
-                    .map(|i| self.analysis.index().rel(i))
-                    .collect();
-                self.removal_on_decrease(p, Some(head), &mut removed);
-                self.program.remove_rule(id);
-                self.rebuild_analysis().expect("rule deletion cannot unstratify");
-                let start =
-                    affected.iter().map(|&rel| self.analysis.stratum_of(rel)).min().unwrap_or(0);
-                self.resaturate_from(start, &mut added, &mut derivs);
-            }
+            prune(&mut next, self);
+            acc = next;
         }
-        Ok(self.finish(removed, added, derivs))
+        let entry = supports.entry(d.head.clone()).or_default();
+        let mut changed = false;
+        for pair in acc {
+            changed |= entry.add_pair(pair, self);
+        }
+        changed
+    }
+
+    fn heap_bytes(sup: &MultiSupport) -> usize {
+        sup.heap_bytes()
+    }
+
+    fn dump(sup: &MultiSupport, index: &RelIndex) -> FactSupport {
+        let mut pairs: Vec<PairDump> = sup.pairs().iter().map(|p| p.dump(index)).collect();
+        pairs.sort();
+        FactSupport::Multi { asserted: sup.asserted, pairs }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MaintenanceEngine;
     use crate::verify::assert_matches_ground_truth;
-    use strata_datalog::Rule;
+    use strata_datalog::{Database, Program, Rule};
 
     fn engine(src: &str) -> DynamicMultiEngine {
         DynamicMultiEngine::new(Program::parse(src).unwrap()).unwrap()

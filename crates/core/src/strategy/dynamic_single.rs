@@ -19,18 +19,16 @@
 //! Keeping a single support per fact loses information when a fact has
 //! several derivations (Example 4); §4.3 fixes that at higher cost.
 
-use rustc_hash::{FxHashMap, FxHashSet};
-use strata_datalog::eval::naive::{self, SaturationStats};
-use strata_datalog::eval::{Derivation, DerivationSink};
-use strata_datalog::graph::RelIndex;
-use strata_datalog::model::StratKind;
-use strata_datalog::{Database, Fact, Program, Symbol};
+use std::collections::hash_map::Entry;
 
-use crate::analysis::Analysis;
-use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
-use crate::stats::UpdateStats;
-use crate::strategy::{add_rule_checked, find_rule_checked, retract_checked};
-use crate::support::SupportPair;
+use strata_datalog::deps::StaticDeps;
+use strata_datalog::eval::Derivation;
+use strata_datalog::graph::RelIndex;
+use strata_datalog::{Fact, Program};
+
+use crate::engine::MaintenanceError;
+use crate::strategy::{Bookkeeping, Cause, Maintainer, Supports};
+use crate::support::{FactSupport, SupportPair};
 
 /// Configuration for [`DynamicSingleEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -51,43 +49,68 @@ impl Default for SingleConfig {
 }
 
 /// The paper's §4.2 engine.
-pub struct DynamicSingleEngine {
-    program: Program,
-    analysis: Analysis,
-    model: Database,
-    supports: FxHashMap<Fact, SupportPair>,
-    config: SingleConfig,
+pub type DynamicSingleEngine = Maintainer<SingleConfig>;
+
+impl DynamicSingleEngine {
+    /// Builds the paper's *incorrect* naive variant (Example 2), kept to
+    /// reproduce its failure. Its model can diverge from the ground truth!
+    pub fn naive_unsigned(program: Program) -> Result<DynamicSingleEngine, MaintenanceError> {
+        Self::with_config(program, SingleConfig { signed: false, prefer_smaller: true })
+    }
 }
 
-struct SingleSink<'a> {
-    supports: &'a mut FxHashMap<Fact, SupportPair>,
-    index: &'a RelIndex,
-    universe: usize,
-    config: SingleConfig,
-}
+/// The §4.2 bookkeeping: one support pair per fact.
+impl Bookkeeping for SingleConfig {
+    type Support = SupportPair;
 
-impl DerivationSink for SingleSink<'_> {
-    fn on_derivation(&mut self, d: &Derivation<'_>) -> bool {
-        let mut pair = SupportPair::empty(self.universe);
+    fn name(&self) -> &'static str {
+        if self.signed {
+            "dynamic-single"
+        } else {
+            "dynamic-single-naive"
+        }
+    }
+
+    /// "Then add p(t̄) with a support consisting of empty Pos and Neg sets"
+    /// — unbeatably small.
+    fn assert(&self, supports: &mut Supports<SupportPair>, f: &Fact, universe: usize) {
+        supports.insert(f.clone(), SupportPair::empty(universe));
+    }
+
+    /// The fact leaves unconditionally; a single relation-level support
+    /// cannot witness other derivations.
+    fn retract(&self, _: Option<&mut SupportPair>) -> bool {
+        true
+    }
+
+    /// An increase of `p` fails the pairs whose resolved `Neg'` contains
+    /// `p`, a decrease those whose resolved `Pos'` does. On a rule deletion
+    /// every non-asserted fact of the head goes: a relation-level pair
+    /// cannot tell which derivation used the deleted rule.
+    fn fails(&self, support: Option<&mut SupportPair>, cause: Cause, deps: &StaticDeps) -> bool {
+        match (cause, support) {
+            (Cause::RuleDeleted { asserted }, _) => !asserted,
+            (_, None) => true, // unknown support: be pessimistic
+            (Cause::Increase(p), Some(pair)) if self.signed => pair.neg_resolved_contains(p, deps),
+            (Cause::Increase(p), Some(pair)) => pair.neg.plain.contains(p),
+            (Cause::Decrease(p), Some(pair)) if self.signed => pair.pos_resolved_contains(p, deps),
+            (Cause::Decrease(p), Some(pair)) => pair.pos.plain.contains(p),
+        }
+    }
+
+    fn record(
+        &self,
+        supports: &mut Supports<SupportPair>,
+        d: &Derivation<'_>,
+        index: &RelIndex,
+    ) -> bool {
+        let mut pair = SupportPair::of_instance(d, index, self.signed);
         for bf in d.pos_body {
-            if let Some(sup) = self.supports.get(bf) {
+            if let Some(sup) = supports.get(bf) {
                 pair.union_with(sup);
             }
-            pair.pos.plain.insert(self.index.of(bf.rel));
         }
-        for nf in d.neg_body {
-            let r = self.index.of(nf.rel);
-            if self.config.signed {
-                // Pos gains -r, Neg gains +r.
-                pair.pos.signed.insert(r);
-                pair.neg.signed.insert(r);
-            } else {
-                // The naive (incorrect) construction: Neg gains plain r.
-                pair.neg.plain.insert(r);
-            }
-        }
-        use std::collections::hash_map::Entry;
-        match self.supports.entry(d.head.clone()) {
+        match supports.entry(d.head.clone()) {
             Entry::Vacant(v) => {
                 v.insert(pair);
                 true
@@ -95,7 +118,7 @@ impl DerivationSink for SingleSink<'_> {
             Entry::Occupied(mut o) => {
                 // "We keep its old pair of Pos and Neg sets unless the new
                 // pair is pairwise smaller than the old one."
-                if self.config.prefer_smaller && pair.pairwise_subset(o.get()) && &pair != o.get() {
+                if self.prefer_smaller && pair.pairwise_subset(o.get()) && &pair != o.get() {
                     o.insert(pair);
                     true
                 } else {
@@ -104,267 +127,22 @@ impl DerivationSink for SingleSink<'_> {
             }
         }
     }
-}
 
-impl DynamicSingleEngine {
-    /// Builds the engine with the corrected (signed) configuration.
-    pub fn new(program: Program) -> Result<DynamicSingleEngine, MaintenanceError> {
-        Self::with_config(program, SingleConfig::default())
+    fn heap_bytes(pair: &SupportPair) -> usize {
+        pair.heap_bytes()
     }
 
-    /// Builds the paper's *incorrect* naive variant (Example 2), kept to
-    /// reproduce its failure. Its model can diverge from the ground truth!
-    pub fn naive_unsigned(program: Program) -> Result<DynamicSingleEngine, MaintenanceError> {
-        Self::with_config(program, SingleConfig { signed: false, prefer_smaller: true })
-    }
-
-    /// Builds the engine with an explicit configuration.
-    pub fn with_config(
-        program: Program,
-        config: SingleConfig,
-    ) -> Result<DynamicSingleEngine, MaintenanceError> {
-        let analysis = Analysis::build(&program, StratKind::Maximal)
-            .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        let mut engine = DynamicSingleEngine {
-            program,
-            analysis,
-            model: Database::new(),
-            supports: FxHashMap::default(),
-            config,
-        };
-        let mut added = FxHashSet::default();
-        let mut derivs = 0;
-        engine.resaturate_from(0, &mut added, &mut derivs);
-        Ok(engine)
-    }
-
-    /// The support pair currently attached to a fact (for tests/inspection).
-    pub fn support_of(&self, fact: &Fact) -> Option<&SupportPair> {
-        self.supports.get(fact)
-    }
-
-    fn resaturate_from(&mut self, start: usize, added: &mut FxHashSet<Fact>, derivs: &mut u64) {
-        let strata = self.analysis.strata();
-        let universe = self.analysis.universe();
-        for s in start..strata.num_strata() {
-            for f in strata.facts_of(s) {
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-                // Asserted facts carry the empty pair — unbeatably small.
-                self.supports.insert(f.clone(), SupportPair::empty(universe));
-            }
-            let mut sink = SingleSink {
-                supports: &mut self.supports,
-                index: self.analysis.index(),
-                universe,
-                config: self.config,
-            };
-            let mut stats = SaturationStats::default();
-            let new = naive::saturate(&mut self.model, strata.rules_of(s), &mut sink, &mut stats);
-            *derivs += stats.derivations;
-            added.extend(new);
-        }
-    }
-
-    /// Removal phase for an increase of `p`: drop facts whose resolved
-    /// `Neg'` contains `p`.
-    fn removal_on_increase(&mut self, p: u32, removed: &mut FxHashSet<Fact>) {
-        let rels: Vec<Symbol> = self
-            .analysis
-            .deps()
-            .neg_inverse(p)
-            .iter()
-            .map(|i| self.analysis.index().rel(i))
-            .collect();
-        for rel in rels {
-            let facts: Vec<Fact> = self.model.facts_of(rel).collect();
-            for f in facts {
-                let fails = match self.supports.get(&f) {
-                    Some(pair) if self.config.signed => {
-                        pair.neg_resolved_contains(p, self.analysis.deps())
-                    }
-                    Some(pair) => pair.neg.plain.contains(p),
-                    None => true, // unknown support: be pessimistic
-                };
-                if fails {
-                    self.model.remove(&f);
-                    self.supports.remove(&f);
-                    removed.insert(f);
-                }
-            }
-        }
-    }
-
-    /// Removal phase for a decrease of `p`: drop facts whose resolved
-    /// `Pos'` contains `p`. When `drop_all_of` is set (rule deletion), every
-    /// non-asserted fact of that relation goes too — a single relation-level
-    /// pair cannot tell which derivation used the deleted rule.
-    fn removal_on_decrease(
-        &mut self,
-        p: u32,
-        drop_all_of: Option<Symbol>,
-        removed: &mut FxHashSet<Fact>,
-    ) {
-        let rels: Vec<Symbol> = self
-            .analysis
-            .deps()
-            .pos_inverse(p)
-            .iter()
-            .map(|i| self.analysis.index().rel(i))
-            .collect();
-        for rel in rels {
-            let facts: Vec<Fact> = self.model.facts_of(rel).collect();
-            for f in facts {
-                let fails = if drop_all_of == Some(rel) {
-                    !self.program.is_asserted(&f)
-                } else {
-                    match self.supports.get(&f) {
-                        Some(pair) if self.config.signed => {
-                            pair.pos_resolved_contains(p, self.analysis.deps())
-                        }
-                        Some(pair) => pair.pos.plain.contains(p),
-                        None => true,
-                    }
-                };
-                if fails {
-                    self.model.remove(&f);
-                    self.supports.remove(&f);
-                    removed.insert(f);
-                }
-            }
-        }
-    }
-
-    fn rebuild_analysis(&mut self) -> Result<(), MaintenanceError> {
-        self.analysis =
-            Analysis::rebuild(&self.program, StratKind::Maximal, self.analysis.index_clone())
-                .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        Ok(())
-    }
-
-    fn finish(&self, removed: FxHashSet<Fact>, added: FxHashSet<Fact>, derivs: u64) -> UpdateStats {
-        UpdateStats::from_sets(&removed, &added, derivs, self.support_bytes())
-    }
-}
-
-impl MaintenanceEngine for DynamicSingleEngine {
-    fn name(&self) -> &'static str {
-        if self.config.signed {
-            "dynamic-single"
-        } else {
-            "dynamic-single-naive"
-        }
-    }
-
-    fn program(&self) -> &Program {
-        &self.program
-    }
-
-    fn model(&self) -> &Database {
-        &self.model
-    }
-
-    fn support_bytes(&self) -> usize {
-        self.supports.values().map(SupportPair::heap_bytes).sum::<usize>()
-            + self.supports.capacity()
-                * (std::mem::size_of::<Fact>() + std::mem::size_of::<SupportPair>())
-    }
-
-    fn support_dump(&self) -> crate::support::SupportDump {
-        let index = self.analysis.index();
-        crate::support::SupportDump::from_entries(
-            self.supports
-                .iter()
-                .map(|(f, pair)| (f.clone(), crate::support::FactSupport::Single(pair.dump(index))))
-                .collect(),
-        )
-    }
-
-    fn apply(&mut self, update: &Update) -> Result<UpdateStats, MaintenanceError> {
-        let update = normalize(update);
-        let mut removed = FxHashSet::default();
-        let mut added = FxHashSet::default();
-        let mut derivs = 0u64;
-        match &update {
-            Update::InsertFact(f) => {
-                if self.program.is_asserted(f) {
-                    return Ok(self.finish(removed, added, derivs));
-                }
-                self.program.assert_fact(f.clone()).map_err(MaintenanceError::Datalog)?;
-                if self.analysis.rel(f.rel).is_none() {
-                    self.rebuild_analysis().expect("fact insertion cannot unstratify");
-                } else {
-                    self.analysis.note_assert(f);
-                }
-                let p = self.analysis.rel(f.rel).expect("indexed");
-                self.removal_on_increase(p, &mut removed);
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-                // "then add p(t̄) with a support consisting of empty Pos and
-                // Neg sets."
-                self.supports.insert(f.clone(), SupportPair::empty(self.analysis.universe()));
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
-            }
-            Update::DeleteFact(f) => {
-                retract_checked(&mut self.program, f)?;
-                self.analysis.note_retract(f);
-                let p = self.analysis.rel(f.rel).expect("indexed");
-                // The fact itself leaves unconditionally; a single
-                // relation-level support cannot witness other derivations.
-                if self.model.remove(f) {
-                    self.supports.remove(f);
-                    removed.insert(f.clone());
-                }
-                self.removal_on_decrease(p, None, &mut removed);
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
-            }
-            Update::InsertRule(r) => {
-                let id = add_rule_checked(&mut self.program, r)?;
-                let old = self.analysis.clone();
-                if let Err(e) = self.rebuild_analysis() {
-                    self.program.remove_rule(id);
-                    self.analysis = old;
-                    let MaintenanceError::Datalog(strata_datalog::DatalogError::Stratification(s)) =
-                        e
-                    else {
-                        return Err(e);
-                    };
-                    return Err(MaintenanceError::WouldUnstratify(s));
-                }
-                let p = self.analysis.rel(r.head.rel).expect("indexed");
-                self.removal_on_increase(p, &mut removed);
-                self.resaturate_from(self.analysis.stratum_of(r.head.rel), &mut added, &mut derivs);
-            }
-            Update::DeleteRule(r) => {
-                let id = find_rule_checked(&self.program, r)?;
-                let head = r.head.rel;
-                let p = self.analysis.rel(head).expect("indexed");
-                let affected: Vec<Symbol> = self
-                    .analysis
-                    .deps()
-                    .pos_inverse(p)
-                    .iter()
-                    .map(|i| self.analysis.index().rel(i))
-                    .collect();
-                self.removal_on_decrease(p, Some(head), &mut removed);
-                self.program.remove_rule(id);
-                self.rebuild_analysis().expect("rule deletion cannot unstratify");
-                let start =
-                    affected.iter().map(|&rel| self.analysis.stratum_of(rel)).min().unwrap_or(0);
-                self.resaturate_from(start, &mut added, &mut derivs);
-            }
-        }
-        Ok(self.finish(removed, added, derivs))
+    fn dump(pair: &SupportPair, index: &RelIndex) -> FactSupport {
+        FactSupport::Single(pair.dump(index))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MaintenanceEngine;
     use crate::verify::assert_matches_ground_truth;
-    use strata_datalog::Rule;
+    use strata_datalog::{Database, Rule};
 
     fn engine(src: &str) -> DynamicSingleEngine {
         DynamicSingleEngine::new(Program::parse(src).unwrap()).unwrap()

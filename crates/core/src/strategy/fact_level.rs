@@ -34,7 +34,9 @@ use strata_datalog::{Database, Fact, Program};
 use crate::analysis::Analysis;
 use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
 use crate::stats::UpdateStats;
-use crate::strategy::{add_rule_checked, find_rule_checked, retract_checked};
+use crate::strategy::{
+    find_rule_checked, finish, insert_rule_checked, rebuild_analysis, retract_checked,
+};
 
 /// One flattened proof witness: asserted leaves and required absences.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -303,17 +305,6 @@ impl FactLevelEngine {
             added.extend(new);
         }
     }
-
-    fn rebuild_analysis(&mut self) -> Result<(), MaintenanceError> {
-        self.analysis =
-            Analysis::rebuild(&self.program, StratKind::Maximal, self.analysis.index_clone())
-                .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        Ok(())
-    }
-
-    fn finish(&self, removed: FxHashSet<Fact>, added: FxHashSet<Fact>, derivs: u64) -> UpdateStats {
-        UpdateStats::from_sets(&removed, &added, derivs, self.support_bytes())
-    }
 }
 
 impl MaintenanceEngine for FactLevelEngine {
@@ -367,11 +358,11 @@ impl MaintenanceEngine for FactLevelEngine {
         match &update {
             Update::InsertFact(f) => {
                 if self.program.is_asserted(f) {
-                    return Ok(self.finish(removed, added, derivs));
+                    return Ok(finish(self, removed, added, derivs));
                 }
                 self.program.assert_fact(f.clone()).map_err(MaintenanceError::Datalog)?;
                 if self.analysis.rel(f.rel).is_none() {
-                    self.rebuild_analysis().expect("fact insertion cannot unstratify");
+                    rebuild_analysis(&self.program, &mut self.analysis);
                 }
                 self.asserted.insert(f.clone());
                 if self.model.insert(f.clone()) {
@@ -389,25 +380,14 @@ impl MaintenanceEngine for FactLevelEngine {
                 self.revalidate_and_saturate(start, &mut removed, &mut added, &mut derivs);
             }
             Update::InsertRule(r) => {
-                let id = add_rule_checked(&mut self.program, r)?;
-                let old = self.analysis.clone();
-                if let Err(e) = self.rebuild_analysis() {
-                    self.program.remove_rule(id);
-                    self.analysis = old;
-                    let MaintenanceError::Datalog(strata_datalog::DatalogError::Stratification(s)) =
-                        e
-                    else {
-                        return Err(e);
-                    };
-                    return Err(MaintenanceError::WouldUnstratify(s));
-                }
+                insert_rule_checked(&mut self.program, &mut self.analysis, r)?;
                 let start = self.analysis.stratum_of(r.head.rel);
                 self.revalidate_and_saturate(start, &mut removed, &mut added, &mut derivs);
             }
             Update::DeleteRule(r) => {
                 let id = find_rule_checked(&self.program, r)?;
                 self.program.remove_rule(id);
-                self.rebuild_analysis().expect("rule deletion cannot unstratify");
+                rebuild_analysis(&self.program, &mut self.analysis);
                 // Witnesses do not record rules, so a rule deletion
                 // invalidates them wholesale: rebuild the labels of every
                 // fact of the head's stratum and above by dropping them and
@@ -432,7 +412,7 @@ impl MaintenanceEngine for FactLevelEngine {
                 self.revalidate_and_saturate(start, &mut removed, &mut added, &mut derivs);
             }
         }
-        Ok(self.finish(removed, added, derivs))
+        Ok(finish(self, removed, added, derivs))
     }
 }
 

@@ -8,178 +8,68 @@
 //! asserted fact `accepted(l+1)` migrating, which the dynamic solutions
 //! avoid.
 
-use rustc_hash::FxHashSet;
+use std::convert::Infallible;
+
 use strata_datalog::eval::seminaive::{self, DeltaStats};
 use strata_datalog::eval::NullNewFact;
-use strata_datalog::model::StratKind;
-use strata_datalog::{Database, Fact, Program, Symbol};
+use strata_datalog::graph::RelIndex;
+use strata_datalog::{Database, Fact};
 
 use crate::analysis::Analysis;
-use crate::engine::{normalize, MaintenanceEngine, MaintenanceError, Update};
-use crate::stats::UpdateStats;
-use crate::strategy::{add_rule_checked, find_rule_checked, remove_rel_facts, retract_checked};
+use crate::strategy::{Bookkeeping, Maintainer, Supports};
+use crate::support::FactSupport;
+
+/// The §4.1 bookkeeping: nothing per fact. The static `Pos`/`Neg` sets
+/// decide which relations are affected, and every fact of those fails:
+/// "remove from M(P) all facts r(s̄) such that p belongs to Neg(r)" removes
+/// by *relation*. The trait's defaults are this policy.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DependencyGraph;
 
 /// The paper's §4.1 engine.
-pub struct StaticEngine {
-    program: Program,
-    analysis: Analysis,
-    model: Database,
-}
+pub type StaticEngine = Maintainer<DependencyGraph>;
 
-impl StaticEngine {
-    /// Builds the engine, computing `M(P)` and the static dependency sets.
-    pub fn new(program: Program) -> Result<StaticEngine, MaintenanceError> {
-        let analysis = Analysis::build(&program, StratKind::Maximal)
-            .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        let mut engine = StaticEngine { program, analysis, model: Database::new() };
-        let mut added = FxHashSet::default();
-        let mut derivs = 0;
-        engine.resaturate_from(0, &mut added, &mut derivs);
-        Ok(engine)
-    }
+impl Bookkeeping for DependencyGraph {
+    type Support = Infallible;
 
-    /// Step (3) of the paper's procedures: `M'_i = SAT(P_i, M)` for the
-    /// strata from `start` upward, re-injecting asserted facts (their
-    /// "trivial derivations").
-    fn resaturate_from(&mut self, start: usize, added: &mut FxHashSet<Fact>, derivs: &mut u64) {
-        let strata = self.analysis.strata();
-        for s in start..strata.num_strata() {
-            for f in strata.facts_of(s) {
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-            }
-            let mut stats = DeltaStats::default();
-            let new = seminaive::saturate(
-                &mut self.model,
-                strata.rules_of(s),
-                &mut NullNewFact,
-                &mut stats,
-            );
-            *derivs += stats.firings;
-            added.extend(new);
-        }
-    }
-
-    fn rels_of(&self, indices: &strata_datalog::RelSet) -> Vec<Symbol> {
-        indices.iter().map(|i| self.analysis.index().rel(i)).collect()
-    }
-
-    fn rebuild_analysis(&mut self) -> Result<(), MaintenanceError> {
-        self.analysis =
-            Analysis::rebuild(&self.program, StratKind::Maximal, self.analysis.index_clone())
-                .map_err(|e| MaintenanceError::Datalog(e.into()))?;
-        Ok(())
-    }
-
-    fn finish(&self, removed: FxHashSet<Fact>, added: FxHashSet<Fact>, derivs: u64) -> UpdateStats {
-        UpdateStats::from_sets(&removed, &added, derivs, self.support_bytes())
-    }
-}
-
-impl MaintenanceEngine for StaticEngine {
     fn name(&self) -> &'static str {
         "static"
     }
 
-    fn program(&self) -> &Program {
-        &self.program
-    }
-
-    fn model(&self) -> &Database {
-        &self.model
+    /// Delta-driven saturation; no supports to record.
+    fn saturate(
+        &self,
+        s: usize,
+        analysis: &Analysis,
+        model: &mut Database,
+        _: &mut Supports<Infallible>,
+    ) -> (Vec<Fact>, u64) {
+        let mut stats = DeltaStats::default();
+        let rules = analysis.strata().rules_of(s);
+        let new = seminaive::saturate(model, rules, &mut NullNewFact, &mut stats);
+        (new, stats.firings)
     }
 
     /// The static sets are the bookkeeping of this strategy.
-    fn support_bytes(&self) -> usize {
-        self.analysis.deps().heap_bytes()
+    fn support_bytes(&self, _: &Supports<Infallible>, analysis: &Analysis) -> usize {
+        analysis.deps().heap_bytes()
     }
 
-    fn apply(&mut self, update: &Update) -> Result<UpdateStats, MaintenanceError> {
-        let update = normalize(update);
-        let mut removed = FxHashSet::default();
-        let mut added = FxHashSet::default();
-        let mut derivs = 0u64;
-        match &update {
-            Update::InsertFact(f) => {
-                if self.program.is_asserted(f) {
-                    return Ok(self.finish(removed, added, derivs));
-                }
-                self.program.assert_fact(f.clone()).map_err(MaintenanceError::Datalog)?;
-                if self.analysis.rel(f.rel).is_none() {
-                    self.rebuild_analysis().expect("fact insertion cannot unstratify");
-                } else {
-                    self.analysis.note_assert(f);
-                }
-                let p = self.analysis.rel(f.rel).expect("indexed after rebuild");
-                // 1) remove all facts of relations depending on p through an
-                //    odd number of negations.
-                let rels = self.rels_of(self.analysis.deps().neg_inverse(p));
-                remove_rel_facts(&mut self.model, rels, &mut removed);
-                // 2) add p(t̄).
-                if self.model.insert(f.clone()) {
-                    added.insert(f.clone());
-                }
-                // 3) re-saturate the strata from p's stratum up.
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
-            }
-            Update::DeleteFact(f) => {
-                retract_checked(&mut self.program, f)?;
-                self.analysis.note_retract(f);
-                let p = self.analysis.rel(f.rel).expect("asserted relation is indexed");
-                // 1) remove all facts of relations depending on p through an
-                //    even number of negations — including every fact of p
-                //    itself, since p ∈ Pos(p).
-                let rels = self.rels_of(self.analysis.deps().pos_inverse(p));
-                remove_rel_facts(&mut self.model, rels, &mut removed);
-                // 2) p(t̄) is gone with them (no longer asserted);
-                // 3) re-saturate.
-                self.resaturate_from(self.analysis.stratum_of(f.rel), &mut added, &mut derivs);
-            }
-            Update::InsertRule(r) => {
-                let id = add_rule_checked(&mut self.program, r)?;
-                let old = self.analysis.clone();
-                if let Err(e) = self.rebuild_analysis() {
-                    self.program.remove_rule(id);
-                    self.analysis = old;
-                    let MaintenanceError::Datalog(strata_datalog::DatalogError::Stratification(s)) =
-                        e
-                    else {
-                        return Err(e);
-                    };
-                    return Err(MaintenanceError::WouldUnstratify(s));
-                }
-                // A rule insertion can only increase p: same removal as a
-                // fact insertion, with the recomputed dependency sets.
-                let p = self.analysis.rel(r.head.rel).expect("indexed after rebuild");
-                let rels = self.rels_of(self.analysis.deps().neg_inverse(p));
-                remove_rel_facts(&mut self.model, rels, &mut removed);
-                self.resaturate_from(self.analysis.stratum_of(r.head.rel), &mut added, &mut derivs);
-            }
-            Update::DeleteRule(r) => {
-                let id = find_rule_checked(&self.program, r)?;
-                // Removal must use the dependency sets computed *before* the
-                // rule disappears: a relation that depended on p only through
-                // the deleted rule still holds facts derived through it.
-                let p = self.analysis.rel(r.head.rel).expect("rule head is indexed");
-                let affected = self.rels_of(self.analysis.deps().pos_inverse(p));
-                remove_rel_facts(&mut self.model, affected.iter().copied(), &mut removed);
-                self.program.remove_rule(id);
-                self.rebuild_analysis().expect("rule deletion cannot unstratify");
-                let start =
-                    affected.iter().map(|&rel| self.analysis.stratum_of(rel)).min().unwrap_or(0);
-                self.resaturate_from(start, &mut added, &mut derivs);
-            }
-        }
-        Ok(self.finish(removed, added, derivs))
+    fn heap_bytes(support: &Infallible) -> usize {
+        match *support {}
+    }
+
+    fn dump(support: &Infallible, _: &RelIndex) -> FactSupport {
+        match *support {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{MaintenanceEngine, MaintenanceError};
     use crate::verify::assert_matches_ground_truth;
-    use strata_datalog::Rule;
+    use strata_datalog::{Program, Rule};
 
     fn engine(src: &str) -> StaticEngine {
         StaticEngine::new(Program::parse(src).unwrap()).unwrap()

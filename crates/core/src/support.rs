@@ -24,6 +24,7 @@
 use std::cmp::Ordering;
 
 use strata_datalog::deps::StaticDeps;
+use strata_datalog::eval::Derivation;
 use strata_datalog::graph::RelIndex;
 use strata_datalog::{Fact, RelSet, RuleId};
 
@@ -94,6 +95,28 @@ impl SupportPair {
     /// The empty pair — the support of an *asserted* fact.
     pub fn empty(n: usize) -> SupportPair {
         SupportPair { pos: SignedSet::empty(n), neg: SignedSet::empty(n) }
+    }
+
+    /// The part of a derivation's support contributed by the rule instance
+    /// itself: its positive body relations `q` in `Pos`; each negated
+    /// relation `r` as `-r` in `Pos` and `+r` in `Neg` when `signed`, else
+    /// as plain `r` in `Neg` (the naive construction of the paper's
+    /// Example 2).
+    pub(crate) fn of_instance(d: &Derivation<'_>, index: &RelIndex, signed: bool) -> SupportPair {
+        let mut pair = SupportPair::empty(index.len());
+        for bf in d.pos_body {
+            pair.pos.plain.insert(index.of(bf.rel));
+        }
+        for nf in d.neg_body {
+            let r = index.of(nf.rel);
+            if signed {
+                pair.pos.signed.insert(r);
+                pair.neg.signed.insert(r);
+            } else {
+                pair.neg.plain.insert(r);
+            }
+        }
+        pair
     }
 
     /// Whether this is the assertion pair (both sides empty).
@@ -253,11 +276,6 @@ impl MultiSupport {
         let before = self.pairs.len();
         self.pairs.retain(|p| !fails(p));
         self.pairs.len() != before
-    }
-
-    /// Drops all derivation pairs (used on pessimistic rule deletion).
-    pub fn clear_pairs(&mut self) {
-        self.pairs.clear();
     }
 
     /// Approximate heap bytes.

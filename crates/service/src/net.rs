@@ -234,18 +234,13 @@ fn reply(tag: Option<&str>, payload: impl fmt::Display) -> Response {
     out
 }
 
-/// Renders a submit/flush decision, tag applied.
-fn render_ack(tag: Option<&str>, outcome: &Outcome, flush: bool) -> Response {
-    match (flush, outcome) {
-        (true, Outcome::Accepted { version, .. }) => flushed(tag, *version),
-        _ => {
-            let mut out = String::new();
-            protocol::write_tag(&mut out, tag);
-            protocol::write_outcome(&mut out, outcome);
-            out.push('\n');
-            out
-        }
-    }
+/// Renders a submit decision, tag applied.
+fn render_ack(tag: Option<&str>, outcome: &Outcome) -> Response {
+    let mut out = String::new();
+    protocol::write_tag(&mut out, tag);
+    protocol::write_outcome(&mut out, outcome);
+    out.push('\n');
+    out
 }
 
 /// The `flush` ack.
@@ -416,7 +411,7 @@ fn serve_connection(
             while let Ok(job) = job_rx.recv() {
                 let done = matches!(job, Job::Quit(_));
                 let response = match job {
-                    Job::Wait { tag, handle } => render_ack(tag.as_deref(), &handle.wait(), false),
+                    Job::Wait { tag, handle } => render_ack(tag.as_deref(), &handle.wait()),
                     Job::FlushDb { tag, flush } => flushed(tag.as_deref(), flush.wait()),
                     Job::Ready(response) | Job::Quit(response) => response,
                 };
@@ -1370,23 +1365,15 @@ mod tests {
             let accepted = Outcome::Accepted { group: 7, version: 3 };
             let rejected =
                 Outcome::Rejected(MaintenanceError::NotAsserted(Fact::parse("p(1)").unwrap()));
+            assert_eq!(render_ack(tag, &accepted), reference_tagged(tag, "ok group=7 version=3"));
+            assert_eq!(flushed(tag, 3), reference_tagged(tag, "ok flushed version=3"));
             assert_eq!(
-                render_ack(tag, &accepted, false),
-                reference_tagged(tag, "ok group=7 version=3")
+                render_ack(tag, &rejected),
+                reference_tagged(
+                    tag,
+                    "err code=not-asserted cannot delete `p(1)`: not an asserted fact"
+                )
             );
-            assert_eq!(
-                render_ack(tag, &accepted, true),
-                reference_tagged(tag, "ok flushed version=3")
-            );
-            for flush in [false, true] {
-                assert_eq!(
-                    render_ack(tag, &rejected, flush),
-                    reference_tagged(
-                        tag,
-                        "err code=not-asserted cannot delete `p(1)`: not an asserted fact"
-                    )
-                );
-            }
         }
         let big = render_query(&db, None, &Query::parse("wide(X, Y)").unwrap());
         assert!(big.len() > COALESCE_BYTES, "the 5 000-row case must exceed the coalescing cap");
