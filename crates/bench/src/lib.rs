@@ -1,9 +1,8 @@
-//! Shared harness for the experiment binaries (`exp_e1` … `exp_e8`) and the
-//! Criterion benches.
+//! Shared harness for the experiment binaries and the Criterion benches.
 //!
-//! The experiments regenerate the paper's worked examples and comparative
-//! claims; see `EXPERIMENTS.md` at the repository root for the index and the
-//! recorded paper-vs-measured outcomes.
+//! [`paper`] regenerates the paper's worked examples and comparative claims
+//! as tables of counts; see *Experiments and benches* in the repository's
+//! README for how to run them.
 
 use std::time::{Duration, Instant};
 
@@ -12,12 +11,13 @@ use strata_core::{EngineBox, MaintenanceEngine, Update, UpdateStats};
 use strata_datalog::Program;
 
 pub mod json;
+pub mod paper;
 
 /// The strategy names compared throughout the experiments, in paper order.
 ///
 /// `fact-level` is excluded from the comparative set — its bookkeeping is
 /// the §5.2 "prohibitive" endpoint and dominates every table it appears in;
-/// `exp_e11_factlevel` studies it separately. Construction still goes
+/// [`paper`]'s E11 studies it separately. Construction still goes
 /// through [`EngineRegistry`]; this list only selects names.
 pub const COMPARED_STRATEGIES: &[&str] =
     &["recompute", "static", "dynamic-single", "dynamic-multi", "cascade"];
@@ -42,16 +42,6 @@ pub fn engine_with_storage(
     EngineRegistry::standard()
         .build_with_storage(name, program.clone(), storage)
         .expect("registered, stratified, and storable")
-}
-
-/// The strategies compared throughout the experiments, in paper order.
-pub fn all_engines(program: &Program) -> Vec<EngineBox> {
-    engines_by_name(program, COMPARED_STRATEGIES)
-}
-
-/// The incremental strategies only (no recompute baseline).
-pub fn incremental_engines(program: &Program) -> Vec<EngineBox> {
-    engines_by_name(program, &COMPARED_STRATEGIES[1..])
 }
 
 /// Outcome of replaying a script on one engine.
@@ -109,45 +99,21 @@ pub fn replay_all(engine: &mut dyn MaintenanceEngine, script: &[Update]) -> Repl
     }
 }
 
-/// Replays a script on every strategy and asserts they agree on the final
-/// model.
+/// Replays a script on each named strategy and asserts they agree on the
+/// final model.
 ///
 /// # Panics
 /// If two engines disagree — that would be a correctness bug.
-pub fn compare_all(program: &Program, script: &[Update]) -> Vec<ReplayResult> {
+pub fn compare_all(program: &Program, names: &[&str], script: &[Update]) -> Vec<ReplayResult> {
     let mut results = Vec::new();
-    for mut engine in all_engines(program) {
+    for mut engine in engines_by_name(program, names) {
         results.push(replay(engine.as_mut(), script));
     }
-    let reference = &results[0].final_facts;
     for r in &results[1..] {
-        assert_eq!(
-            reference, &r.final_facts,
-            "engine {} diverged from the recompute baseline",
-            r.name
-        );
+        let first = &results[0];
+        assert_eq!(first.final_facts, r.final_facts, "{} diverged from {}", r.name, first.name);
     }
     results
-}
-
-/// Prints a migration/latency table for a set of replay results.
-pub fn print_table(workload: &str, results: &[ReplayResult]) {
-    println!(
-        "{:<26} {:<21} {:>8} {:>9} {:>10} {:>11} {:>10}",
-        "workload", "strategy", "removed", "migrated", "derivs", "supportKiB", "ms"
-    );
-    for r in results {
-        println!(
-            "{:<26} {:<21} {:>8} {:>9} {:>10} {:>11.1} {:>10.2}",
-            workload,
-            r.name,
-            r.total.removed,
-            r.total.migrated,
-            r.total.derivations,
-            r.total.support_bytes as f64 / 1024.0,
-            r.elapsed.as_secs_f64() * 1e3,
-        );
-    }
 }
 
 /// A minimal section header for experiment output.
@@ -170,7 +136,7 @@ mod tests {
             Update::DeleteFact(Fact::parse("accepted(1)").unwrap()),
             Update::InsertFact(Fact::parse("submitted(7)").unwrap()),
         ];
-        let results = compare_all(&program, &script);
+        let results = compare_all(&program, COMPARED_STRATEGIES, &script);
         assert_eq!(results.len(), 5);
         // Recompute reports zero migration by definition.
         assert_eq!(results[0].total.migrated, 0);
@@ -179,7 +145,7 @@ mod tests {
     #[test]
     fn replay_measures_time_and_size() {
         let program = strata_workload::paper::chain(5);
-        let mut engines = all_engines(&program);
+        let mut engines = engines_by_name(&program, COMPARED_STRATEGIES);
         let script = vec![Update::InsertFact(Fact::parse("p0").unwrap())];
         let r = replay(engines[4].as_mut(), &script);
         assert_eq!(r.name, "cascade");
@@ -194,7 +160,8 @@ mod tests {
             Update::DeleteFact(Fact::parse("accepted(1)").unwrap()),
             Update::InsertFact(Fact::parse("submitted(7)").unwrap()),
         ];
-        for (mut seq, mut bat) in all_engines(&program).into_iter().zip(all_engines(&program)) {
+        let engines = || engines_by_name(&program, COMPARED_STRATEGIES);
+        for (mut seq, mut bat) in engines().into_iter().zip(engines()) {
             let a = replay(seq.as_mut(), &script);
             let b = replay_all(bat.as_mut(), &script);
             assert_eq!(a.final_facts, b.final_facts, "[{}]", a.name);
@@ -219,8 +186,8 @@ mod tests {
     #[test]
     fn engines_by_name_builds_through_the_registry() {
         let program = strata_workload::paper::pods(2, 6);
-        let names: Vec<&str> = all_engines(&program).iter().map(|e| e.name()).collect();
+        let engines = engines_by_name(&program, COMPARED_STRATEGIES);
+        let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(names, COMPARED_STRATEGIES);
-        assert_eq!(incremental_engines(&program).len(), COMPARED_STRATEGIES.len() - 1);
     }
 }

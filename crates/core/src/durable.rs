@@ -962,28 +962,16 @@ impl DurableEngine {
         initial: Program,
         durability: Durability,
     ) -> Result<DurableEngine, MaintenanceError> {
-        Self::open_with(path, strategy, ctor, initial, durability, None)
-    }
-
-    /// [`DurableEngine::open`] with an optional armed fault injector
-    /// threaded into the store's WAL and snapshot I/O
-    /// (see [`strata_store::faults`]).
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        strategy: &str,
-        ctor: EngineCtor,
-        initial: Program,
-        durability: Durability,
-        faults: Option<std::sync::Arc<FaultInjector>>,
-    ) -> Result<DurableEngine, MaintenanceError> {
         let mut spec = WalSpec::new(path.as_ref());
         spec.fsync = durability;
-        Self::open_spec(&spec, strategy, ctor, initial, faults)
+        Self::open_spec(&spec, strategy, ctor, initial, None)
     }
 
     /// The full-spec entry point: opens (or creates) the durable engine
     /// per `spec` — directory, fsync policy, checkpoint mode, replay mode,
-    /// and auto-compaction policy. [`DurableEngine::open`] is the
+    /// and auto-compaction policy — with an optional armed fault injector
+    /// threaded into the store's WAL and snapshot I/O (see
+    /// [`strata_store::faults`]). [`DurableEngine::open`] is the
     /// all-defaults shorthand.
     pub fn open_spec(
         spec: &WalSpec,

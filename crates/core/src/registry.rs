@@ -91,10 +91,6 @@ pub struct StrategyEntry {
     /// Whether the engine maintains the model incrementally (false only
     /// for the recompute-from-scratch baseline).
     pub incremental: bool,
-    /// Where engines built from this entry keep their state. Defaults to
-    /// [`StorageSpec::Mem`]; set via [`EngineRegistry::set_storage`] to
-    /// make every [`EngineRegistry::build`] of this strategy durable.
-    pub storage: StorageSpec,
     ctor: EngineCtor,
 }
 
@@ -157,30 +153,10 @@ impl EngineRegistry {
         incremental: bool,
         ctor: impl Fn(Program) -> Result<EngineBox, MaintenanceError> + Send + Sync + 'static,
     ) {
-        let entry = StrategyEntry {
-            name,
-            summary,
-            incremental,
-            storage: StorageSpec::Mem,
-            ctor: Arc::new(ctor),
-        };
+        let entry = StrategyEntry { name, summary, incremental, ctor: Arc::new(ctor) };
         match self.entries.iter_mut().find(|e| e.name == name) {
             Some(slot) => *slot = entry,
             None => self.entries.push(entry),
-        }
-    }
-
-    /// Sets the storage spec of a registered strategy (subsequent
-    /// [`build`]s honor it). Returns `false` if the name is unknown.
-    ///
-    /// [`build`]: EngineRegistry::build
-    pub fn set_storage(&mut self, name: &str, storage: StorageSpec) -> bool {
-        match self.entries.iter_mut().find(|e| e.name == name) {
-            Some(entry) => {
-                entry.storage = storage;
-                true
-            }
-            None => false,
         }
     }
 
@@ -204,17 +180,13 @@ impl EngineRegistry {
         self.entries.iter().any(|e| e.name == name)
     }
 
-    /// Builds the named engine over `program`, honoring the entry's
-    /// [`StorageSpec`] (in-memory by default; durable if configured).
+    /// Builds the named engine over `program`, in memory.
     pub fn build(&self, name: &str, program: Program) -> Result<EngineBox, RegistryError> {
-        let entry = self.entries.iter().find(|e| e.name == name).ok_or_else(|| {
-            RegistryError::UnknownStrategy { name: name.to_string(), known: self.names() }
-        })?;
-        self.build_entry(entry, program, &entry.storage, None)
+        self.build_with_storage_faults(name, program, &StorageSpec::Mem, None)
     }
 
-    /// Builds the named engine with an explicit storage spec, overriding
-    /// the entry's own. `Mem` yields the plain engine; `Wal(spec)` opens
+    /// Builds the named engine with an explicit storage spec. `Mem` yields
+    /// the plain engine; `Wal(spec)` opens
     /// (or recovers) a [`DurableEngine`] per the spec — directory, fsync
     /// policy, checkpoint mode, replay mode, auto-compaction — seeded with
     /// `program` if the store is fresh.
@@ -243,16 +215,6 @@ impl EngineRegistry {
         let entry = self.entries.iter().find(|e| e.name == name).ok_or_else(|| {
             RegistryError::UnknownStrategy { name: name.to_string(), known: self.names() }
         })?;
-        self.build_entry(entry, program, storage, faults)
-    }
-
-    fn build_entry(
-        &self,
-        entry: &StrategyEntry,
-        program: Program,
-        storage: &StorageSpec,
-        faults: Option<Arc<strata_store::FaultInjector>>,
-    ) -> Result<EngineBox, RegistryError> {
         Ok(match storage {
             StorageSpec::Mem => (entry.ctor)(program)?,
             StorageSpec::Wal(spec) => Box::new(DurableEngine::open_spec(
@@ -362,24 +324,23 @@ mod tests {
     #[test]
     fn storage_spec_defaults_to_mem_and_is_settable() {
         use crate::durable::StorageSpec;
-        let mut r = EngineRegistry::standard();
-        assert!(r.entries().all(|e| e.storage == StorageSpec::Mem));
+        let r = EngineRegistry::standard();
         let dir =
             std::env::temp_dir().join(format!("strata_registry_storage_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(r.set_storage("cascade", StorageSpec::wal(&dir)));
-        assert!(!r.set_storage("nonsense", StorageSpec::mem()));
-        // A build now goes durable: state survives a rebuild from scratch.
+        let wal = StorageSpec::wal(&dir);
+        // A `wal` build is durable: state survives a rebuild from scratch.
         {
-            let mut e = r.build("cascade", pods()).unwrap();
+            let mut e = r.build_with_storage("cascade", pods(), &wal).unwrap();
             e.apply(&Update::InsertFact(Fact::parse("accepted(1)").unwrap())).unwrap();
             assert!(e.checkpoint().unwrap(), "registry-built engine is durable");
         }
-        let e = r.build("cascade", Program::new()).unwrap();
+        let e = r.build_with_storage("cascade", Program::new(), &wal).unwrap();
         assert!(e.model().contains_parsed("accepted(1)"), "recovered via registry");
-        // Explicit override back to memory ignores the entry spec.
+        // An explicit `mem` build, like a plain `build`, has no store.
         let mut e = r.build_with_storage("cascade", pods(), &StorageSpec::mem()).unwrap();
         assert!(!e.checkpoint().unwrap(), "in-memory engine has nothing to checkpoint");
+        assert!(!r.build("cascade", pods()).unwrap().checkpoint().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -317,7 +317,7 @@ impl Store {
                 }
             }
             let chain_len = deltas.len() as u64;
-            let (wal, replay) = Wal::open_with(dir.join(WAL_FILE), durability, faults.clone())?;
+            let (wal, replay) = Wal::open(dir.join(WAL_FILE), durability, faults.clone())?;
             let mut last_seq = snapshot_seq;
             let mut committed = Vec::new();
             for txn in replay.txns {

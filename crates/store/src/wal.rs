@@ -132,19 +132,11 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if missing) the log at `path`, replays it, and
     /// truncates any torn tail so subsequent appends start on a record
-    /// boundary.
-    pub fn open(
-        path: impl Into<PathBuf>,
-        durability: Durability,
-    ) -> std::io::Result<(Wal, WalReplay)> {
-        Self::open_with(path, durability, None)
-    }
-
-    /// [`Wal::open`] with an optional armed fault injector threaded through
-    /// every subsequent I/O (and through the open itself:
+    /// boundary. An armed fault injector, if given, is threaded through
+    /// every subsequent I/O and through the open itself:
     /// [`FaultPoint::WalOpenCorrupt`] flips one byte of the image as it is
-    /// read back, modelling read-time CRC corruption).
-    pub fn open_with(
+    /// read back, modelling read-time CRC corruption.
+    pub fn open(
         path: impl Into<PathBuf>,
         durability: Durability,
         faults: Option<Arc<FaultInjector>>,
@@ -461,7 +453,7 @@ mod tests {
         let dir = tmpdir("car");
         let path = dir.join("w.wal");
         {
-            let (mut wal, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+            let (mut wal, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
             assert!(replay.txns.is_empty());
             wal.begin(1, 0);
             wal.data(b"alpha");
@@ -471,7 +463,7 @@ mod tests {
             wal.data(b"gamma");
             wal.abort(2).unwrap();
         }
-        let (_, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (_, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert_eq!(replay.txns.len(), 2);
         assert_eq!(replay.txns[0].records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
         assert!(replay.txns[0].committed);
@@ -486,7 +478,7 @@ mod tests {
         let path = dir.join("w.wal");
         let committed_len;
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Fsync).unwrap();
+            let (mut wal, _) = Wal::open(&path, Durability::Fsync, None).unwrap();
             wal.begin(1, 0);
             wal.data(b"ok");
             wal.commit(1).unwrap();
@@ -502,7 +494,7 @@ mod tests {
             f.write_all(&pending).unwrap();
         }
         assert!(std::fs::metadata(&path).unwrap().len() > committed_len);
-        let (wal, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (wal, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert_eq!(replay.txns.len(), 1);
         assert!(replay.torn_tail);
         assert_eq!(wal.len_bytes(), committed_len);
@@ -516,7 +508,7 @@ mod tests {
         let path = dir.join("w.wal");
         let mut boundaries = vec![0u64];
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Buffered).unwrap();
+            let (mut wal, _) = Wal::open(&path, Durability::Buffered, None).unwrap();
             for seq in 1..=4u64 {
                 wal.begin(seq, 0);
                 wal.data(format!("payload-{seq}").as_bytes());
@@ -543,7 +535,7 @@ mod tests {
         let path = dir.join("wal.log");
         let full_len;
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Fsync).unwrap();
+            let (mut wal, _) = Wal::open(&path, Durability::Fsync, None).unwrap();
             for seq in 1..=3u64 {
                 wal.begin(seq, 0);
                 wal.data(format!("payload-{seq}").as_bytes());
@@ -557,7 +549,7 @@ mod tests {
         let mid = (bytes.len() / 3) + 4;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (wal, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (wal, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert!(replay.corrupt_mid_file, "intact frames after the tear = corruption");
         assert!(replay.torn_tail, "corruption also reports the tear");
         let qpath = replay.quarantined.expect("corrupt image quarantined");
@@ -568,7 +560,7 @@ mod tests {
         assert!(wal.len_bytes() < full_len);
         // Reopening the now-clean log does not re-quarantine.
         drop(wal);
-        let (_, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (_, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert!(!replay.corrupt_mid_file);
         assert!(replay.quarantined.is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -579,7 +571,7 @@ mod tests {
         let dir = tmpdir("torn_not_corrupt");
         let path = dir.join("wal.log");
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Fsync).unwrap();
+            let (mut wal, _) = Wal::open(&path, Durability::Fsync, None).unwrap();
             wal.begin(1, 0);
             wal.data(b"ok");
             wal.commit(1).unwrap();
@@ -587,7 +579,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0x77; 9]).unwrap();
         drop(f);
-        let (_, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (_, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert!(replay.torn_tail);
         assert!(!replay.corrupt_mid_file, "garbage at EOF is a torn tail, not corruption");
         assert!(replay.quarantined.is_none());
@@ -600,7 +592,7 @@ mod tests {
         let dir = tmpdir("fault_fsync");
         let path = dir.join("wal.log");
         let inj = Arc::new(FaultPlan::once(FaultPoint::WalFsync, 2).arm());
-        let (mut wal, _) = Wal::open_with(&path, Durability::Fsync, Some(inj.clone())).unwrap();
+        let (mut wal, _) = Wal::open(&path, Durability::Fsync, Some(inj.clone())).unwrap();
         wal.begin(1, 0);
         wal.data(b"good");
         wal.commit(1).unwrap();
@@ -615,7 +607,7 @@ mod tests {
         drop(wal);
         // Reopen (no faults): only txn 1 survives, no torn tail — the
         // failed flush never reached the file.
-        let (wal, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (wal, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert_eq!(replay.txns.len(), 1);
         assert!(!replay.torn_tail);
         assert_eq!(wal.len_bytes(), durable_len);
@@ -628,7 +620,7 @@ mod tests {
         let dir = tmpdir("fault_torn");
         let path = dir.join("wal.log");
         let inj = Arc::new(FaultPlan::once(FaultPoint::WalWrite, 2).arg(16).arm());
-        let (mut wal, _) = Wal::open_with(&path, Durability::Fsync, Some(inj)).unwrap();
+        let (mut wal, _) = Wal::open(&path, Durability::Fsync, Some(inj)).unwrap();
         wal.begin(1, 0);
         wal.data(b"good");
         wal.commit(1).unwrap();
@@ -640,7 +632,7 @@ mod tests {
         // The torn prefix is on disk past the committed region…
         assert!(std::fs::metadata(&path).unwrap().len() > durable_len);
         // …and a clean reopen truncates it as a torn tail.
-        let (wal, replay) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (wal, replay) = Wal::open(&path, Durability::Fsync, None).unwrap();
         assert_eq!(replay.txns.len(), 1);
         assert!(replay.torn_tail);
         assert!(!replay.corrupt_mid_file);
@@ -654,7 +646,7 @@ mod tests {
         let dir = tmpdir("fault_open");
         let path = dir.join("wal.log");
         {
-            let (mut wal, _) = Wal::open(&path, Durability::Fsync).unwrap();
+            let (mut wal, _) = Wal::open(&path, Durability::Fsync, None).unwrap();
             for seq in 1..=3u64 {
                 wal.begin(seq, 0);
                 wal.data(format!("payload-{seq}").as_bytes());
@@ -664,7 +656,7 @@ mod tests {
         let file_len = std::fs::metadata(&path).unwrap().len();
         // Flip a byte one third in: inside txn 1/2, before intact frames.
         let inj = Arc::new(FaultPlan::once(FaultPoint::WalOpenCorrupt, 1).arg(file_len / 3).arm());
-        let (_, replay) = Wal::open_with(&path, Durability::Fsync, Some(inj)).unwrap();
+        let (_, replay) = Wal::open(&path, Durability::Fsync, Some(inj)).unwrap();
         assert!(replay.corrupt_mid_file);
         assert!(replay.quarantined.is_some());
         assert!(replay.txns.len() < 3, "the corrupted suffix is dropped");
@@ -675,7 +667,7 @@ mod tests {
     fn truncate_all_empties_the_log() {
         let dir = tmpdir("trunc");
         let path = dir.join("w.wal");
-        let (mut wal, _) = Wal::open(&path, Durability::Fsync).unwrap();
+        let (mut wal, _) = Wal::open(&path, Durability::Fsync, None).unwrap();
         wal.begin(1, 0);
         wal.commit(1).unwrap();
         assert!(wal.len_bytes() > 0);

@@ -1,5 +1,6 @@
 //! Migration comparison across all strategies on synthetic workloads —
-//! a compact version of experiment E7 (see EXPERIMENTS.md).
+//! a compact version of experiment E7 (see *Experiments and benches* in
+//! README).
 //!
 //! ```text
 //! cargo run --release --example migration_report

@@ -624,15 +624,25 @@ const HELP: &str = "  + <fact|rule>     insert        - <fact|rule>   delete
   :trace [n]        last n sealed group spans (default 16)
   :help  :quit";
 
+/// The session's starting shell: over the program in `path`, or an empty
+/// one. Fails with one line if the file cannot be read or parsed, or if
+/// its program is not stratified.
+fn load(path: Option<&str>) -> Result<Repl, String> {
+    let Some(path) = path else { return Repl::new(Program::new()) };
+    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let program = Program::parse(&src).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    Repl::new(program).map_err(|e| format!("cannot load {path}: {e}"))
+}
+
 fn main() -> io::Result<()> {
-    let mut program = Program::new();
-    if let Some(path) = std::env::args().nth(1) {
-        let src =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        program = Program::parse(&src).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
+    let path = std::env::args().nth(1);
+    let mut repl = load(path.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    if let Some(path) = path {
         eprintln!("loaded {path}");
     }
-    let mut repl = Repl::new(program).expect("initial engine");
     let stdin = io::stdin();
     let mut stdout = io::stdout();
     eprintln!("strata — stratified database shell (:help for commands)");
@@ -659,6 +669,34 @@ fn main() -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `load`'s error for a program file holding `src`.
+    fn load_error(name: &str, src: &str) -> String {
+        let path = std::env::temp_dir().join(format!("strata_load_{name}_{}", std::process::id()));
+        std::fs::write(&path, src).unwrap();
+        let err = load(path.to_str()).err().expect("load must fail");
+        let _ = std::fs::remove_file(&path);
+        err
+    }
+
+    #[test]
+    fn load_reports_an_unreadable_file() {
+        let err = load(Some("/nonexistent/strata/program.dl")).err().expect("load must fail");
+        assert!(err.starts_with("cannot read /nonexistent/strata/program.dl: "), "{err}");
+    }
+
+    #[test]
+    fn load_reports_an_unparseable_file() {
+        let err = load_error("parse", "p(X :- q.");
+        assert!(err.starts_with("cannot parse ") && !err.contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn load_reports_an_unstratifiable_program() {
+        let err = load_error("strata", "e(1). p(X) :- e(X), !q(X). q(X) :- e(X), !p(X).");
+        assert!(err.starts_with("cannot load ") && !err.contains('\n'), "{err}");
+        assert!(load(None).is_ok());
+    }
 
     fn run(repl: &mut Repl, line: &str) -> String {
         let mut out = Vec::new();

@@ -1,15 +1,14 @@
-//! Every worked example of the paper, executed across every engine.
+//! The §3 PODS equations, executed across every engine of the standard
+//! registry with each engine's model checked against the ground truth.
 //!
-//! These are the paper's "evaluation": §3 PODS, §4.1 Example 1 (CONF),
-//! §4.2 Example 2 (chain) and Example 3 (CONGRESS), §4.2/4.3 Example 4
-//! (MEET), and the §5.1 cascade demo. `EXPERIMENTS.md` records the
-//! corresponding measured tables (exp_e1 … exp_e6).
+//! The counted tables of every worked example (E1–E8, E11, E12) live in
+//! `crates/bench/tests/paper_reproduction.rs`; README's *Experiments and
+//! benches* describes them.
 
 use stratamaint::core::registry::EngineRegistry;
-use stratamaint::core::strategy::{CascadeEngine, DynamicMultiEngine};
 use stratamaint::core::verify::assert_matches_ground_truth;
 use stratamaint::core::{EngineBox, MaintenanceEngine, Update};
-use stratamaint::datalog::{Fact, Program};
+use stratamaint::datalog::{Fact, Program, Rule};
 use stratamaint::workload::paper;
 
 fn engines(program: &Program) -> Vec<EngineBox> {
@@ -43,111 +42,12 @@ fn pods_deletion_swaps_accepted_for_rejected() {
     }
 }
 
-/// §4.1 Example 1: all engines stay correct; only the static engine
-/// migrates the asserted fact accepted(l+1).
-#[test]
-fn conf_example_static_migrates_asserted_fact() {
-    let program = paper::conf(3);
-    let mut migrations = Vec::new();
-    for mut e in engines(&program) {
-        let stats = e.insert_fact(fact("rejected(4)")).unwrap();
-        assert!(e.model().contains_parsed("accepted(4)"), "[{}]", e.name());
-        assert_matches_ground_truth(e.as_ref());
-        migrations.push((e.name(), stats.migrated));
-    }
-    let migrated = |name: &str| migrations.iter().find(|(n, _)| *n == name).unwrap().1;
-    // The static engine removes all 4 accepted facts; 4 migrate back.
-    assert_eq!(migrated("static"), 4);
-    // The dynamic engines keep the asserted fact but migrate the derived 3.
-    assert_eq!(migrated("dynamic-single"), 3);
-    assert_eq!(migrated("dynamic-multi"), 3);
-    assert_eq!(migrated("cascade"), 3);
-    // Fact-level supports and recompute migrate nothing.
-    assert_eq!(migrated("fact-level"), 0);
-    assert_eq!(migrated("recompute"), 0);
-}
-
-/// §4.2 Example 2: the chain p1 ← ¬p0, p2 ← ¬p1, p3 ← ¬p2 under insertion
-/// and deletion of p0. (The *naive unsigned* §4.2 variant fails here — that
-/// negative result is covered in `strata-core`'s unit tests.)
-#[test]
-fn chain_example_insert_delete_round_trip() {
-    for mut e in engines(&paper::chain(3)) {
-        let initial = e.model().sorted_facts();
-        e.insert_fact(fact("p0")).unwrap();
-        assert!(e.model().contains_parsed("p2"), "[{}]", e.name());
-        assert!(!e.model().contains_parsed("p3"), "[{}]", e.name());
-        assert_matches_ground_truth(e.as_ref());
-        e.delete_fact(fact("p0")).unwrap();
-        assert_eq!(e.model().sorted_facts(), initial, "[{}]", e.name());
-        assert_matches_ground_truth(e.as_ref());
-    }
-}
-
-/// §4.2 Example 3 (CONGRESS): the second derivation of accepted(l) has the
-/// pairwise-smaller support; keeping it prevents migration in §4.2+.
-#[test]
-fn congress_smaller_support_prevents_migration() {
-    let program = paper::congress(4);
-    for mut e in engines(&program) {
-        let stats = e.insert_fact(fact("rejected(4)")).unwrap();
-        assert!(e.model().contains_parsed("accepted(4)"), "[{}]", e.name());
-        assert_matches_ground_truth(e.as_ref());
-        if e.name() == "dynamic-single" || e.name() == "dynamic-multi" {
-            // accepted(4) keeps its rejected-free support: no migration of it.
-            // (accepted(1..3) still migrate at relation granularity.)
-            assert_eq!(stats.migrated, 3, "[{}]", e.name());
-        }
-    }
-}
-
-/// §4.2/§4.3 Example 4 (MEET): with one support per fact accepted(a)
-/// migrates; with sets of sets (or rule pointers, or fact-level supports)
-/// it survives in place.
-#[test]
-fn meet_example_single_vs_multi_support() {
-    let src = "submitted(a). in_pc(chair). author(chair, a).
-               accepted(X) :- submitted(X), !rejected(X).
-               accepted(Y) :- author(X, Y), in_pc(X).";
-    let program = Program::parse(src).unwrap();
-    for mut e in engines(&program) {
-        let stats = e.insert_fact(fact("rejected(a)")).unwrap();
-        assert!(e.model().contains_parsed("accepted(a)"), "[{}]", e.name());
-        assert_matches_ground_truth(e.as_ref());
-        match e.name() {
-            "dynamic-single" => assert_eq!(stats.migrated, 1, "single support loses Example 4"),
-            "dynamic-multi" | "cascade" | "fact-level" | "recompute" => {
-                assert_eq!(stats.migrated, 0, "[{}] must keep accepted(a) in place", e.name())
-            }
-            _ => {}
-        }
-    }
-}
-
-/// §5.1's closing example: INSERT(p) into {r ← p, q ← r, q ← ¬p}. The §4.3
-/// engine removes q and re-inserts it; the cascade never removes it.
-#[test]
-fn cascade_example_improves_on_dynamic_multi() {
-    let program = paper::cascade_demo();
-    let mut multi = DynamicMultiEngine::new(program.clone()).unwrap();
-    let stats = multi.insert_fact(fact("p")).unwrap();
-    assert_eq!(stats.migrated, 1, "§4.3 migrates q");
-    assert_matches_ground_truth(&multi);
-
-    let mut cascade = CascadeEngine::new(program).unwrap();
-    let stats = cascade.insert_fact(fact("p")).unwrap();
-    assert_eq!(stats.removed, 0, "§5.1 never removes q");
-    assert_eq!(cascade.model().sorted_facts(), multi.model().sorted_facts());
-    assert_matches_ground_truth(&cascade);
-}
-
 /// Rule updates across all engines on the PODS program.
 #[test]
 fn rule_updates_agree_across_engines() {
     let program = paper::pods(1, 4);
-    let rule: Update = Update::InsertRule(
-        stratamaint::datalog::Rule::parse("late(X) :- submitted(X), !accepted(X), !rejected(X).")
-            .unwrap(),
+    let rule = Update::InsertRule(
+        Rule::parse("late(X) :- submitted(X), !accepted(X), !rejected(X).").unwrap(),
     );
     for mut e in engines(&program) {
         // rejected(X) already holds for 2..4, so `late` stays empty…
@@ -156,8 +56,7 @@ fn rule_updates_agree_across_engines() {
         assert_matches_ground_truth(e.as_ref());
         // …until rejected's rule is deleted.
         e.apply(&Update::DeleteRule(
-            stratamaint::datalog::Rule::parse("rejected(X) :- submitted(X), !accepted(X).")
-                .unwrap(),
+            Rule::parse("rejected(X) :- submitted(X), !accepted(X).").unwrap(),
         ))
         .unwrap();
         assert_eq!(e.model().count("late".into()), 3, "[{}]", e.name());

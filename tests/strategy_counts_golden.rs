@@ -1,9 +1,11 @@
-//! Pinned per-update counts and final supports of the §4 engines.
+//! Pinned per-update counts and final supports of every maintenance engine.
 //!
 //! `strategy_equivalence` checks that every engine reaches the right model;
-//! this file pins *how* each one gets there. Each of `static`,
-//! `dynamic-single`, `dynamic-single-naive` and `dynamic-multi` replays the
-//! same scenarios, and two 64-bit values are fixed per engine:
+//! this file pins *how* each one gets there. Each of the §4 engines
+//! (`static`, `dynamic-single`, `dynamic-single-naive`, `dynamic-multi`),
+//! the §5.1 `cascade`, the §5.2 `fact-level` engine and the `recompute`
+//! baseline replays the same scenarios, and two 64-bit values are fixed
+//! per engine:
 //!
 //! * a fold of every step's full [`UpdateStats`] (removed, migrated, net
 //!   growth and shrinkage, derivations, support bytes);
@@ -13,12 +15,16 @@
 //! Saturation order decides which pair `prefer_smaller` keeps in
 //! dynamic-single and which pairs `MultiConfig::max_pairs` keeps in
 //! dynamic-multi, so these values move when supports are recorded, kept
-//! or tested differently, even when every model is still correct.
+//! or tested differently, even when every model is still correct. The
+//! cascade's stats fold also moves when pre-saturation is switched off.
 //!
 //! Everything runs in one test function: symbols are interned in first-use
 //! order and hash by id, so a single thread keeps iteration orders fixed.
 
-use stratamaint::core::strategy::{DynamicMultiEngine, DynamicSingleEngine, StaticEngine};
+use stratamaint::core::strategy::{
+    CascadeEngine, DynamicMultiEngine, DynamicSingleEngine, FactLevelEngine, RecomputeEngine,
+    StaticEngine,
+};
 use stratamaint::core::{MaintenanceEngine, MaintenanceError, Update, UpdateStats};
 use stratamaint::datalog::{Fact, Program, Rule};
 use stratamaint::workload::paper;
@@ -50,12 +56,15 @@ fn fold_stats(h: u64, s: &UpdateStats) -> u64 {
 
 type Ctor = fn(Program) -> Box<dyn MaintenanceEngine>;
 
-fn engines() -> [(&'static str, Ctor); 4] {
+fn engines() -> [(&'static str, Ctor); 7] {
     [
         ("static", |p| Box::new(StaticEngine::new(p).unwrap())),
         ("dynamic-single", |p| Box::new(DynamicSingleEngine::new(p).unwrap())),
         ("dynamic-single-naive", |p| Box::new(DynamicSingleEngine::naive_unsigned(p).unwrap())),
         ("dynamic-multi", |p| Box::new(DynamicMultiEngine::new(p).unwrap())),
+        ("cascade", |p| Box::new(CascadeEngine::new(p).unwrap())),
+        ("fact-level", |p| Box::new(FactLevelEngine::new(p).unwrap())),
+        ("recompute", |p| Box::new(RecomputeEngine::new(p).unwrap())),
     ]
 }
 
@@ -143,11 +152,14 @@ fn run(ctor: Ctor) -> (u64, u64) {
 }
 
 /// `(engine, stats fold, support-dump hash)`.
-const GOLDEN: [(&str, u64, u64); 4] = [
+const GOLDEN: [(&str, u64, u64); 7] = [
     ("static", 0xe1648c2110d818cf, 0x03273dc34e36751d),
     ("dynamic-single", 0xc0ca32b1f62d2cd6, 0x0d022a3e18db890a),
     ("dynamic-single-naive", 0x1735c168f3eb2873, 0xb0f7a1093b99390f),
     ("dynamic-multi", 0x5254a01cc931be42, 0xec74f3ae1ca278c1),
+    ("cascade", 0x2c70a30a5d41cbb4, 0x049080207f0c833d),
+    ("fact-level", 0xf6016feec4642032, 0xbee227be753a6044),
+    ("recompute", 0xbeb7bcf9f64f0c65, 0x03273dc34e36751d),
 ];
 
 #[test]
